@@ -1,8 +1,12 @@
 #include "harness/cli.hpp"
 
+#include "mem/directory.hpp"
+
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace ccsim::harness {
 
@@ -13,7 +17,14 @@ std::vector<unsigned> parse_list(const std::string& s) {
   while (pos < s.size()) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(static_cast<unsigned>(std::stoul(s.substr(pos, comma - pos))));
+    const std::string item = s.substr(pos, comma - pos);
+    char* end = nullptr;
+    const unsigned long n = std::strtoul(item.c_str(), &end, 10);
+    if (item.empty() || !std::isdigit(static_cast<unsigned char>(item[0])) ||
+        *end != '\0' || n == 0 || n > mem::kMaxNodes)
+      throw std::invalid_argument("--procs: '" + item + "' is not a node count in [1, " +
+                                  std::to_string(mem::kMaxNodes) + "]");
+    out.push_back(static_cast<unsigned>(n));
     pos = comma + 1;
   }
   if (out.empty()) throw std::invalid_argument("--procs needs at least one value");

@@ -2,32 +2,58 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
 namespace ccsim::harness {
 
+namespace {
+
+/// Simulated-cycle period at which the host collector samples event-queue
+/// depth. Cycle-based so the histogram is deterministic across hosts.
+constexpr Cycle kHostQueueSample = 4096;
+
+const MachineConfig& validated(const MachineConfig& cfg) {
+  if (cfg.nprocs == 0 || cfg.nprocs > mem::kMaxNodes)
+    throw std::invalid_argument(
+        "nprocs = " + std::to_string(cfg.nprocs) + " is outside [1, " +
+        std::to_string(mem::kMaxNodes) + "]: the directory's full-map sharer set has " +
+        std::to_string(mem::kMaxNodes) + " bits");
+  return cfg;
+}
+
+std::vector<obs::Observer*> attached(std::initializer_list<obs::Observer*> all) {
+  std::vector<obs::Observer*> v;
+  for (obs::Observer* o : all)
+    if (o) v.push_back(o);
+  return v;
+}
+
+} // namespace
+
 Machine::Machine(MachineConfig cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       trace_(cfg.trace || cfg.obs.sink || cfg.obs.check_invariants
                  ? std::make_unique<sim::TraceLog>()
                  : nullptr),
       alloc_(cfg.nprocs),
-      misses_(cfg.nprocs, counters_),
-      updates_(cfg.nprocs, counters_),
-      net_(q_, net::MeshTopology(cfg.nprocs), cfg.net, &counters_.net),
+      checker_(cfg.obs.check_invariants ? std::make_unique<obs::InvariantChecker>()
+                                        : nullptr),
+      sharing_(cfg.obs.sharing ? std::make_unique<obs::SharingTracker>(
+                                     cfg.nprocs, cfg.cu_threshold)
+                               : nullptr),
       hot_(cfg.obs.hot_blocks ? std::make_unique<obs::HotBlockTable>() : nullptr),
       ledger_(cfg.obs.profile
                   ? std::make_unique<obs::CycleLedger>(cfg.nprocs, q_)
                   : nullptr),
-      checker_(cfg.obs.check_invariants ? std::make_unique<obs::InvariantChecker>()
-                                        : nullptr),
-      host_(cfg.obs.host_metrics ? std::make_unique<obs::HostPerfCollector>(
-                                       cfg.obs.host_queue_sample)
-                                 : nullptr),
-      sharing_(cfg.obs.sharing ? std::make_unique<obs::SharingTracker>(
-                                     cfg.nprocs, cfg.cu_threshold)
-                               : nullptr),
+      observers_(attached({checker_.get(), sharing_.get(), hot_.get(), ledger_.get()})),
+      misses_(cfg.nprocs, counters_, observers_),
+      updates_(cfg.nprocs, counters_, observers_),
+      net_(q_, net::MeshTopology(cfg.nprocs), cfg.net, &counters_.net),
+      host_(cfg.obs.host_metrics
+                ? std::make_unique<obs::HostPerfCollector>(kHostQueueSample)
+                : nullptr),
       ctx_{q_,
            net_,
            alloc_,
@@ -37,11 +63,8 @@ Machine::Machine(MachineConfig cfg)
            cfg.nprocs,
            cfg.cu_threshold,
            trace_.get(),
-           hot_.get(),
-           ledger_.get(),
-           checker_.get(),
+           observers_,
            host_.get(),
-           sharing_.get(),
            cfg.consistency,
            cfg.hybrid_default} {
   if (checker_ && cfg_.protocol == proto::Protocol::Hybrid)
@@ -51,11 +74,6 @@ Machine::Machine(MachineConfig cfg)
     if (cfg_.obs.sink) trace_->add_sink(cfg_.obs.sink);
     net_.set_trace(trace_.get());
   }
-  if (hot_) {
-    misses_.set_hot(hot_.get());
-    updates_.set_hot(hot_.get());
-  }
-  if (ledger_) misses_.set_ledger(ledger_.get());
   if (host_) net_.set_host(host_.get());
   nodes_.reserve(cfg_.nprocs);
   procs_.reserve(cfg_.nprocs);
@@ -239,13 +257,10 @@ void Machine::poke(Addr addr, std::uint64_t value, std::size_t size) {
   const NodeId home = alloc_.home_of(b);
   mem::MemoryModule& m = nodes_[home]->home_ctrl().memory_for(b);
   m.write_word(addr, size, value);
-  const Addr base = addr - addr % mem::kWordSize;
-  if (checker_) {
-    // Record the full resulting word so sub-word pokes stay consistent
-    // with the checker's whole-word shadow.
-    checker_->on_poke(base, m.read_word(base, mem::kWordSize));
-  }
-  if (sharing_) sharing_->on_poke(base);
+  // Report the full resulting word so sub-word pokes stay consistent with
+  // the checker's whole-word shadow.
+  const Addr base = mem::word_base(addr);
+  for (obs::Observer* o : observers_) o->on_poke(base, m.read_word(base, mem::kWordSize));
 }
 
 void Machine::bind_protocol(Addr addr, std::size_t size, proto::Protocol p) {

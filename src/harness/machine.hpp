@@ -70,9 +70,6 @@ struct ObsConfig {
   /// simulated cycles, counters and run JSON (minus the opt-in "host"
   /// section) are byte-identical with it on or off.
   bool host_metrics = false;
-  /// Simulated-cycle period at which the host collector samples event-queue
-  /// depth. Cycle-based so the histogram is deterministic across hosts.
-  Cycle host_queue_sample = 4096;
   /// Classify per-block sharing patterns and advise a protocol
   /// (obs/sharing.hpp). Pure observer: simulated cycles, counters and run
   /// JSON (minus the opt-in "sharing" section) are byte-identical with it
@@ -81,6 +78,7 @@ struct ObsConfig {
 };
 
 struct MachineConfig {
+  /// Nodes, in [1, mem::kMaxNodes]; Machine's constructor rejects others.
   unsigned nprocs = 32;
   proto::Protocol protocol = proto::Protocol::WI;
   std::size_t cache_bytes = 64 * 1024;  ///< direct-mapped, 64 B blocks
@@ -110,6 +108,8 @@ class Machine {
 public:
   using Program = std::function<sim::Task(cpu::Cpu&)>;
 
+  /// Throws std::invalid_argument for an unsupported configuration
+  /// (nprocs outside [1, mem::kMaxNodes], the checker on Hybrid).
   explicit Machine(MachineConfig cfg);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -179,14 +179,17 @@ private:
   std::unique_ptr<sim::TraceLog> trace_;
   stats::Counters counters_;
   mem::SharedAllocator alloc_;
+  std::unique_ptr<obs::InvariantChecker> checker_;
+  std::unique_ptr<obs::SharingTracker> sharing_;
+  std::unique_ptr<obs::HotBlockTable> hot_;
+  std::unique_ptr<obs::CycleLedger> ledger_;
+  /// The attached observers above, checker first. Filled once, before the
+  /// classifiers and ctx_ take spans over it, and never changed after.
+  std::vector<obs::Observer*> observers_;
   stats::MissClassifier misses_;
   stats::UpdateClassifier updates_;
   net::Network net_;
-  std::unique_ptr<obs::HotBlockTable> hot_;
-  std::unique_ptr<obs::CycleLedger> ledger_;  ///< must precede ctx_
-  std::unique_ptr<obs::InvariantChecker> checker_;  ///< must precede ctx_
   std::unique_ptr<obs::HostPerfCollector> host_;  ///< must precede ctx_
-  std::unique_ptr<obs::SharingTracker> sharing_;  ///< must precede ctx_
   proto::ProtocolContext ctx_;
   obs::IntervalSeries samples_;
   std::vector<std::unique_ptr<proto::Node>> nodes_;

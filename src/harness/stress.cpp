@@ -150,11 +150,7 @@ RunResult run_stress_cell(const MachineConfig& cfg, const StressParams& params) 
                       ? 0.0
                       : static_cast<double>(r.cycles) / static_cast<double>(ops_total);
   r.counters = m.counters();
-  r.samples = m.samples();
-  r.hot = m.hot_blocks();
-  r.profile = m.profile();
-  r.invariant_checks = m.invariant_checks();
-  r.host = m.host_report();
+  capture_obs(r, m);
   return r;
 }
 

@@ -60,6 +60,7 @@ std::unique_ptr<sync::Barrier> make_barrier(Machine& m, BarrierKind kind) {
   }
   throw std::invalid_argument("bad barrier kind");
 }
+} // namespace
 
 void capture_obs(RunResult& r, const Machine& m) {
   r.samples = m.samples();
@@ -69,7 +70,6 @@ void capture_obs(RunResult& r, const Machine& m) {
   r.host = m.host_report();
   r.sharing = m.sharing_report();
 }
-} // namespace
 
 RunResult run_lock_experiment(const MachineConfig& cfg, LockKind kind,
                               const LockParams& params) {

@@ -44,6 +44,10 @@ struct RunResult {
   obs::SharingReport sharing;
 };
 
+/// Fill `r`'s observability sections (samples through sharing) from a
+/// machine that has finished its run.
+void capture_obs(RunResult& r, const Machine& m);
+
 /// Lock experiment (section 4.1): each processor acquires, holds for
 /// `hold_cycles`, releases, in a tight loop executed total_acquires/P
 /// times. avg_latency = cycles/total_acquires - hold_cycles (figure 8).

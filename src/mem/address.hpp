@@ -31,6 +31,9 @@ using BlockAddr = Addr;
   return static_cast<unsigned>((a / kWordSize) % kWordsPerBlock);
 }
 
+/// First byte address of the word containing an address.
+[[nodiscard]] constexpr Addr word_base(Addr a) noexcept { return a - a % kWordSize; }
+
 /// Byte offset of an address within its block.
 [[nodiscard]] constexpr std::size_t offset_of(Addr a) noexcept {
   return static_cast<std::size_t>(a % kBlockSize);

@@ -19,9 +19,12 @@ enum class DirState : std::uint8_t {
   Private,   ///< PU: one retained-update copy at `owner` (may be dirty)
 };
 
+/// Largest machine the full-map sharer set (one bit per node) describes.
+inline constexpr unsigned kMaxNodes = 64;
+
 struct DirEntry {
   DirState state = DirState::Unowned;
-  std::uint64_t sharers = 0;  ///< full-map bit vector
+  std::uint64_t sharers = 0;  ///< full-map bit vector, kMaxNodes bits
   NodeId owner = kInvalidNode;
 
   [[nodiscard]] bool has_sharer(NodeId n) const noexcept {

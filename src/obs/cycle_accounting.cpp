@@ -135,7 +135,7 @@ void CycleLedger::end_load(NodeId p, Cycle hit_cycles) {
     charge(pr, CycleCat::MissOther, now());
 }
 
-void CycleLedger::note_miss(NodeId p, Addr a, stats::MissClass c) {
+void CycleLedger::on_miss(NodeId p, Addr a, stats::MissClass c) {
   Proc& pr = procs_.at(p);
   // Attach only to an active load span for the same block: drain-triggered
   // store misses classify concurrently with unrelated CPU activity.

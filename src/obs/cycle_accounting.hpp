@@ -34,6 +34,7 @@
 // and a null ledger pointer makes every hook a no-op.
 #pragma once
 
+#include "obs/observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/types.hpp"
 #include "stats/counters.hpp"
@@ -98,7 +99,7 @@ struct ProfileSnapshot {
   [[nodiscard]] bool conserved() const noexcept;
 };
 
-class CycleLedger {
+class CycleLedger : public Observer {
 public:
   CycleLedger(unsigned nprocs, const sim::EventQueue& q);
 
@@ -127,8 +128,9 @@ public:
   /// The load span completes; `hit_cycles` is the cost below which the
   /// span counts as a hit and inherits the enclosing category.
   void end_load(NodeId p, Cycle hit_cycles);
-  /// The classifier classified a miss by `p` at `a` (called mid-span).
-  void note_miss(NodeId p, Addr a, stats::MissClass c);
+  /// Observer hook: the classifier classified a miss by `p` at `a`
+  /// (called mid-span).
+  void on_miss(NodeId p, Addr a, stats::MissClass c) override;
 
   // --- construct phases -------------------------------------------------
 

@@ -7,12 +7,14 @@
 // are reported with symbolic names resolved through the shared allocator
 // ("mcs.qnodes+0x10" instead of 0x10000040).
 //
-// Attribution rides the existing classifier hooks, so it is exact by
-// construction (same classification, same counts) and costs one hash-map
-// update per classified event -- only when a table is attached.
+// The table is an obs::Observer fed by the classifier and home hooks, so
+// attribution is exact by construction (same classification, same counts)
+// and costs one hash-map update per classified event -- only when a table
+// is attached.
 #pragma once
 
 #include "mem/address.hpp"
+#include "obs/observer.hpp"
 #include "sim/types.hpp"
 #include "stats/counters.hpp"
 
@@ -27,7 +29,7 @@ class SharedAllocator;
 
 namespace ccsim::obs {
 
-class HotBlockTable {
+class HotBlockTable : public Observer {
 public:
   /// Per-block traffic attribution.
   struct Cell {
@@ -51,14 +53,16 @@ public:
     Cell cell;
   };
 
-  void on_miss(mem::BlockAddr b, stats::MissClass c) {
-    ++table_[b].misses[static_cast<std::size_t>(c)];
+  void on_miss(NodeId, Addr a, stats::MissClass c) override {
+    ++table_[mem::block_of(a)].misses[static_cast<std::size_t>(c)];
   }
-  void on_update(mem::BlockAddr b, stats::UpdateClass c) {
+  void on_update_classified(mem::BlockAddr b, stats::UpdateClass c) override {
     ++table_[b].updates[static_cast<std::size_t>(c)];
   }
-  void on_inval(mem::BlockAddr b) { ++table_[b].invals; }
-  void on_home_txn(mem::BlockAddr b) { ++table_[b].home_txns; }
+  void on_invalidated(NodeId, mem::BlockAddr b, Addr) override {
+    ++table_[b].invals;
+  }
+  void on_home_txn(mem::BlockAddr b) override { ++table_[b].home_txns; }
 
   [[nodiscard]] std::size_t distinct_blocks() const noexcept {
     return table_.size();

@@ -6,10 +6,6 @@
 namespace ccsim::obs {
 namespace {
 
-[[nodiscard]] constexpr Addr word_base(Addr a) noexcept {
-  return a - a % mem::kWordSize;
-}
-
 [[nodiscard]] std::string_view state_name(mem::LineState s) noexcept {
   switch (s) {
     case mem::LineState::Invalid: return "Invalid";
@@ -84,31 +80,35 @@ bool InvariantChecker::known_value(Addr word_addr, std::uint64_t word) const {
   return !h.wrapped && word == 0;
 }
 
-void InvariantChecker::on_global_write(NodeId writer, Addr addr,
-                                       std::uint64_t word) {
-  (void)writer;
+void InvariantChecker::on_global_write(NodeId, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  shadow_[word_base(addr)] = word;
-  record(word_base(addr), word);
+  shadow_[mem::word_base(addr)] = word;
+  record(mem::word_base(addr), word);
 }
 
-void InvariantChecker::on_local_write(NodeId writer, Addr addr,
-                                      std::uint64_t word) {
-  (void)writer;
+void InvariantChecker::on_local_write(NodeId, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  record(word_base(addr), word);
+  record(mem::word_base(addr), word);
+}
+
+void InvariantChecker::on_update_delivered(NodeId dst, Addr addr, NodeId,
+                                           Delivery d, std::uint64_t word) {
+  // The value is already globally ordered (the home multicast it); record
+  // the word image the copy now shows, which can differ transiently from
+  // the home's under sub-word write interleavings.
+  if (d == Delivery::Applied) on_local_write(dst, addr, word);
 }
 
 void InvariantChecker::on_poke(Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  shadow_[word_base(addr)] = word;
-  record(word_base(addr), word);
+  shadow_[mem::word_base(addr)] = word;
+  record(mem::word_base(addr), word);
 }
 
 void InvariantChecker::on_read(NodeId reader, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
   ++checks_;
-  const Addr wa = word_base(addr);
+  const Addr wa = mem::word_base(addr);
   if (known_value(wa, word)) return;
   std::string what = "read of a value no write produced\n";
   what += "  word " + hexs(wa) + " read as " + hexs(word) + " by node " +
@@ -256,9 +256,7 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
     };
     if (dirty) {
       // The owner's cache is the authoritative copy; home memory is stale.
-      if (const mem::CacheLine* l = e.owner != kInvalidNode
-                                        ? nodes_[e.owner].cache->find(b)
-                                        : nullptr)
+      if (e.owner != kInvalidNode && nodes_[e.owner].cache->find(b))
         check(nodes_[e.owner].cache->read(wa, mem::kWordSize),
               "owner " + std::to_string(e.owner) + " cache");
     } else {

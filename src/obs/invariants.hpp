@@ -1,11 +1,11 @@
 // Runtime coherence-invariant checker: SWMR, directory/cache agreement,
 // and shadow-memory data values.
 //
-// The checker is an opt-in observer (MachineConfig::obs.check_invariants)
-// that the protocol engines notify synchronously at their transition
-// points. It schedules no events and books no bank or port time, so a run
-// with the checker enabled produces exactly the same simulated cycle
-// counts as one without -- it can only throw.
+// The checker is an opt-in obs::Observer (MachineConfig::obs.check_invariants),
+// subscribed first, that the protocol engines notify synchronously at their
+// transition points. It schedules no events and books no bank or port time,
+// so a run with the checker enabled produces exactly the same simulated
+// cycle counts as one without -- it can only throw.
 //
 // What is checked, and why exactly this set:
 //
@@ -56,6 +56,7 @@
 #include "mem/directory.hpp"
 #include "mem/memory_module.hpp"
 #include "mem/shared_alloc.hpp"
+#include "obs/observer.hpp"
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
 
@@ -74,7 +75,7 @@ public:
   using std::runtime_error::runtime_error;
 };
 
-class InvariantChecker : public TraceSink {
+class InvariantChecker : public TraceSink, public Observer {
 public:
   struct Config {
     /// Distinct values remembered per word for the read-membership check.
@@ -98,28 +99,28 @@ public:
   void attach_node(mem::DataCache* cache, const mem::Directory* dir,
                    mem::MemoryModule* memory);
 
-  // --- protocol notifications (all synchronous, all may throw) ----------
+  // --- observer hooks (all synchronous, all may throw) -------------------
 
-  /// A write became globally ordered (WI store into a Modified line, an
-  /// update home's write-through, a PU store into a PrivateDirty line).
-  /// `word` is the resulting value of the full word containing `addr`.
-  void on_global_write(NodeId writer, Addr addr, std::uint64_t word);
+  /// A globally-ordered write: deposit `word` in the shadow memory and the
+  /// word's value history.
+  void on_global_write(NodeId writer, Addr addr, std::uint64_t word) override;
 
-  /// A write became visible in `writer`'s own cache but is not (yet) the
-  /// globally ordered value: an update protocol's local write-through, or
-  /// an Update message applied to a copy. History only; no shadow update.
-  void on_local_write(NodeId writer, Addr addr, std::uint64_t word);
+  /// A write visible in `writer`'s own copy but not (yet) the globally
+  /// ordered value. History only; no shadow update.
+  void on_local_write(NodeId writer, Addr addr, std::uint64_t word) override;
 
-  /// A load completed. `word` is the full word containing `addr` as the
-  /// reader observed it. Checks membership in the word's value history.
-  void on_read(NodeId reader, Addr addr, std::uint64_t word);
+  /// An Applied update delivery is a local write of the copy's word.
+  void on_update_delivered(NodeId dst, Addr addr, NodeId writer, Delivery d,
+                           std::uint64_t word) override;
 
-  /// `node`'s cache now holds a writable copy of `b` (Modified or
-  /// PrivateDirty). Checks single-writer against every other cache.
-  void on_writable(NodeId node, mem::BlockAddr b);
+  /// A load completed: checks membership of `word` in the word's history.
+  void on_read(NodeId reader, Addr addr, std::uint64_t word) override;
+
+  /// Checks single-writer against every other cache.
+  void on_writable(NodeId node, mem::BlockAddr b) override;
 
   /// Machine::poke wrote simulated memory before the run.
-  void on_poke(Addr addr, std::uint64_t word);
+  void on_poke(Addr addr, std::uint64_t word) override;
 
   /// Full directory/cache agreement + shadow data audit. Call only at
   /// quiescence (event queue drained, all programs complete).

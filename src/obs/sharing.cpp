@@ -52,7 +52,7 @@ SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold,
         "SharingTracker: nprocs must be in [1, 32] (32-bit accessor sets)");
 }
 
-void SharingTracker::on_read(NodeId reader, Addr a) {
+void SharingTracker::on_read(NodeId reader, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
   BlockStats& s = blocks_[mem::block_of(a)];
   const std::uint32_t bit = 1u << reader;
@@ -90,7 +90,7 @@ void SharingTracker::close_interval(BlockStats& s, NodeId next_writer) {
   }
 }
 
-void SharingTracker::on_global_write(NodeId writer, Addr a) {
+void SharingTracker::on_global_write(NodeId writer, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
   BlockStats& s = blocks_[mem::block_of(a)];
   const std::uint32_t bit = 1u << writer;
@@ -126,7 +126,7 @@ void SharingTracker::on_global_write(NodeId writer, Addr a) {
   s.cu_streak[writer] = 0;
 }
 
-void SharingTracker::on_local_write(NodeId writer, Addr a) {
+void SharingTracker::on_local_write(NodeId writer, Addr a, std::uint64_t) {
   // The matching global-order point fires on_global_write at the home; here
   // only the accessor bitmaps learn about the writer (idempotent).
   if (!mem::is_shared(a)) return;
@@ -140,24 +140,16 @@ void SharingTracker::on_local_write(NodeId writer, Addr a) {
   s.cu_streak[writer] = 0;
 }
 
-void SharingTracker::on_writable(NodeId node, mem::BlockAddr b) {
-  (void)node;
+void SharingTracker::on_writable(NodeId, mem::BlockAddr b) {
   ++blocks_[b].writable_grants;
 }
 
-void SharingTracker::on_poke(Addr a) {
-  // Pre-run initialization is not program sharing; deliberately ignored.
-  (void)a;
-}
-
-void SharingTracker::on_inval_sent(NodeId dst, Addr trigger, NodeId writer) {
-  (void)dst, (void)writer;
+void SharingTracker::on_inval_sent(NodeId, Addr trigger, NodeId) {
   ++blocks_[mem::block_of(trigger)].invals_sent;
 }
 
-void SharingTracker::on_update_delivered(NodeId dst, Addr a, NodeId writer,
-                                         Delivery d) {
-  (void)writer;
+void SharingTracker::on_update_delivered(NodeId dst, Addr a, NodeId, Delivery d,
+                                         std::uint64_t) {
   BlockStats& s = blocks_[mem::block_of(a)];
   const std::uint32_t bit = 1u << dst;
   const unsigned w = mem::word_of(a);

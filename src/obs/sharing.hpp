@@ -1,11 +1,12 @@
 // Per-block sharing-pattern classification and protocol advice.
 //
-// SharingTracker is an opt-in pure observer (ObsConfig::sharing) fed by the
-// same protocol hook points as the invariant checker, plus two hooks of its
-// own: invalidation sends at the WI home and update deliveries at the PU/CU
-// caches. It schedules no events and sends no messages, so simulated cycles
-// and counters are byte-identical with it on or off (DESIGN.md section 13's
-// no-guest-perturbation rule; section 14 describes this subsystem).
+// SharingTracker is an opt-in obs::Observer (ObsConfig::sharing) fed by the
+// same transition hooks as the invariant checker plus two the checker does
+// not consume: invalidation sends at the WI home and update deliveries at
+// the PU/CU caches. It schedules no events and sends no messages, so
+// simulated cycles and counters are byte-identical with it on or off
+// (DESIGN.md section 13's no-guest-perturbation rule; section 14 describes
+// this subsystem).
 //
 // Per block it records:
 //   - write runs: maximal sequences of globally-ordered writes by one node;
@@ -29,6 +30,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "obs/observer.hpp"
 #include "proto/protocol.hpp"
 #include "sim/types.hpp"
 
@@ -174,42 +176,34 @@ struct SharingReport {
 [[nodiscard]] proto::Protocol cheapest_protocol(double wi, double pu,
                                                 double cu) noexcept;
 
-class SharingTracker {
+class SharingTracker : public Observer {
 public:
-  /// How an update delivery landed at a cache (on_update_delivered).
-  enum class Delivery : std::uint8_t {
-    Applied,  ///< written into a valid copy
-    Stale,    ///< no copy present (pruned/evicted while in flight)
-    Dropped,  ///< tripped the competitive-update counter (self-invalidate)
-  };
-
   /// Throws std::invalid_argument if nprocs exceeds 32 (accessor sets are
-  /// 32-bit node bitmaps, matching the machine's maximum).
+  /// 32-bit node bitmaps).
   explicit SharingTracker(unsigned nprocs, unsigned cu_threshold,
                           SharingConfig cfg = {});
 
-  // Hook points (mirroring obs::InvariantChecker; every caller guards with
-  // `if (ctx_.sharing)`). All are O(1) per call and allocate only on the
-  // first touch of a block.
+  // Observer hooks. All are O(1) per call and allocate only on the first
+  // touch of a block; none reads the `word` argument. on_poke stays a no-op:
+  // pre-run initialization is not program sharing.
 
   /// A read of `a` completed at `reader` (cache hits included).
-  void on_read(NodeId reader, Addr a);
+  void on_read(NodeId reader, Addr a, std::uint64_t word) override;
   /// A write to `a` by `writer` reached its global-order point.
-  void on_global_write(NodeId writer, Addr a);
+  void on_global_write(NodeId writer, Addr a, std::uint64_t word) override;
   /// A locally-visible write not yet globally ordered (PU/CU write-through
   /// into the writer's own copy); the matching global order point fires
   /// on_global_write at the home. Marks accessor bitmaps only.
-  void on_local_write(NodeId writer, Addr a);
+  void on_local_write(NodeId writer, Addr a, std::uint64_t word) override;
   /// `node` obtained a writable (WI Modified / PU PrivateDirty) copy of `b`.
-  void on_writable(NodeId node, mem::BlockAddr b);
-  /// Pre-run initialization write (Machine::poke); not program sharing.
-  void on_poke(Addr a);
+  void on_writable(NodeId node, mem::BlockAddr b) override;
   /// The WI home sent an invalidation of `trigger`'s block to `dst` on
   /// behalf of `writer`.
-  void on_inval_sent(NodeId dst, Addr trigger, NodeId writer);
+  void on_inval_sent(NodeId dst, Addr trigger, NodeId writer) override;
   /// The PU/CU cache at `dst` received an update of `a` written by
   /// `writer`; `d` says whether it was applied, stale, or dropped.
-  void on_update_delivered(NodeId dst, Addr a, NodeId writer, Delivery d);
+  void on_update_delivered(NodeId dst, Addr a, NodeId writer, Delivery d,
+                           std::uint64_t word) override;
 
   /// Close open write intervals and count still-unread deliveries as
   /// wasted. Machine::run calls this once at the end of the run.

@@ -3,8 +3,6 @@
 // scheduling, fence bookkeeping, and the common load path.
 #pragma once
 
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
 #include "proto/protocol.hpp"
 
 #include <cassert>
@@ -49,6 +47,11 @@ protected:
     ctx_.net.send(m);
   }
 
+  /// The full word of our cached copy containing `a` (observer hooks).
+  [[nodiscard]] std::uint64_t word_at(Addr a) const {
+    return cache_.read(mem::word_base(a), mem::kWordSize);
+  }
+
   /// Complete a load one hit-latency from now, reading the line at
   /// completion time. A change (update/invalidation) landing between now
   /// and then has already fired its change notification, so delivering a
@@ -57,10 +60,7 @@ protected:
   void complete_load_later(Addr a, std::size_t size, LoadCallback done) {
     ctx_.q.schedule(kHitCycles, [this, a, size, done = std::move(done)]() mutable {
       if (cache_.find(mem::block_of(a))) {
-        if (ctx_.checker)
-          ctx_.checker->on_read(id_, a,
-                                cache_.read(a - a % mem::kWordSize, mem::kWordSize));
-        if (ctx_.sharing) ctx_.sharing->on_read(id_, a);
+        for (obs::Observer* o : ctx_.observers) o->on_read(id_, a, word_at(a));
         done(cache_.read(a, size));
       } else {
         --ctx_.counters.mem.shared_reads;  // recounted by the retry

@@ -98,23 +98,7 @@ void BaseCacheController::cpu_load(Addr a, std::size_t size, LoadCallback done) 
   if (mem::CacheLine* line = cache_.find(b)) {
     ++ctx_.counters.mem.read_hits;
     on_cache_hit(*line, a);
-    // Read at completion time, not issue time: an update applied during
-    // the hit latency must be observed (its change notification has
-    // already fired, so a spinner would otherwise sleep on a stale value).
-    ctx_.q.schedule(kHitCycles, [this, a, size, done = std::move(done)]() mutable {
-      if (cache_.find(mem::block_of(a))) {
-        if (ctx_.checker)
-          ctx_.checker->on_read(id_, a,
-                                cache_.read(a - a % mem::kWordSize, mem::kWordSize));
-        if (ctx_.sharing) ctx_.sharing->on_read(id_, a);
-        done(cache_.read(a, size));
-      } else {
-        // The line vanished during the hit latency (invalidation/drop):
-        // retry as a fresh access.
-        --ctx_.counters.mem.shared_reads;
-        cpu_load(a, size, std::move(done));
-      }
-    });
+    complete_load_later(a, size, std::move(done));
     return;
   }
   handle_load_miss(a, size, std::move(done));

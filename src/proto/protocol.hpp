@@ -10,6 +10,7 @@
 #include "mem/write_buffer.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
+#include "obs/observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/trace.hpp"
 #include "stats/counters.hpp"
@@ -21,11 +22,7 @@
 #include <memory>
 
 namespace ccsim::obs {
-class CycleLedger;
 class HostPerfCollector;
-class HotBlockTable;
-class InvariantChecker;
-class SharingTracker;
 }
 
 namespace ccsim::proto {
@@ -69,21 +66,14 @@ struct ProtocolContext {
   unsigned nprocs;
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
   sim::TraceLog* trace = nullptr;  ///< optional structured event trace
-  obs::HotBlockTable* hot = nullptr;  ///< optional per-block attribution
-  obs::CycleLedger* ledger = nullptr;  ///< optional cycle-accounting profiler
-  /// Optional runtime coherence-invariant checker (obs/invariants.hpp).
-  /// Engines notify it synchronously at transition points; it never
-  /// schedules events, so timing is unchanged whether or not it is set.
-  obs::InvariantChecker* checker = nullptr;
+  /// Attached transition observers (obs/observer.hpp). Engines report each
+  /// transition once, to all of them; observers never schedule events, so
+  /// timing is identical whichever are attached.
+  obs::Observers observers;
   /// Optional host-performance telemetry (obs/host_perf.hpp). Pure
   /// host-side observer: nodes attribute their message-handling host time
   /// to it; simulated results are identical with or without it.
   obs::HostPerfCollector* host = nullptr;
-  /// Optional sharing-pattern tracker (obs/sharing.hpp). Pure observer fed
-  /// at the same transition points as the checker plus the invalidation /
-  /// update-delivery sends; schedules no events, so simulated results are
-  /// byte-identical with or without it.
-  obs::SharingTracker* sharing = nullptr;
   Consistency consistency = Consistency::Release;
   /// Hybrid machines: protocol for blocks whose domain id is 0.
   Protocol hybrid_default = Protocol::WI;

@@ -1,7 +1,5 @@
 #include "proto/update_controllers.hpp"
 
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -95,11 +93,8 @@ void UpdateCacheController::drain_head() {
     ctx_.misses.on_store(id_, e.addr);
     line->cu_counter = 0;
     // Single writer: a store into a private copy is globally ordered here.
-    if (ctx_.checker)
-      ctx_.checker->on_global_write(
-          id_, e.addr,
-          cache_.read(e.addr - e.addr % mem::kWordSize, mem::kWordSize));
-    if (ctx_.sharing) ctx_.sharing->on_global_write(id_, e.addr);
+    for (obs::Observer* o : ctx_.observers)
+      o->on_global_write(id_, e.addr, word_at(e.addr));
     entry_done();
     return;
   }
@@ -125,11 +120,7 @@ void UpdateCacheController::drain_head() {
   ++ctx_.counters.mem.write_hits;
   cache_.write(e.addr, e.size, e.value);
   line->cu_counter = 0;
-  if (ctx_.checker)
-    ctx_.checker->on_local_write(
-        id_, e.addr,
-        cache_.read(e.addr - e.addr % mem::kWordSize, mem::kWordSize));
-  if (ctx_.sharing) ctx_.sharing->on_local_write(id_, e.addr);
+  for (obs::Observer* o : ctx_.observers) o->on_local_write(id_, e.addr, word_at(e.addr));
   Message m;
   m.type = MsgType::UpdateReq;
   m.dst = ctx_.alloc.home_of(b);
@@ -220,9 +211,8 @@ void UpdateCacheController::apply_update(const Message& msg) {
   if (!line) {
     // Stale update: we pruned or evicted the block while this message was
     // in flight. Still acknowledge so the writer's count settles.
-    if (ctx_.sharing)
-      ctx_.sharing->on_update_delivered(id_, msg.addr, msg.requester,
-                                        obs::SharingTracker::Delivery::Stale);
+    for (obs::Observer* o : ctx_.observers)
+      o->on_update_delivered(id_, msg.addr, msg.requester, obs::Delivery::Stale, 0);
     send(ack);
     return;
   }
@@ -230,9 +220,8 @@ void UpdateCacheController::apply_update(const Message& msg) {
     // Competitive policy: this update trips the counter; self-invalidate
     // and ask the home to stop sending updates.
     ctx_.updates.on_drop_update(id_, msg.addr);
-    if (ctx_.sharing)
-      ctx_.sharing->on_update_delivered(id_, msg.addr, msg.requester,
-                                        obs::SharingTracker::Delivery::Dropped);
+    for (obs::Observer* o : ctx_.observers)
+      o->on_update_delivered(id_, msg.addr, msg.requester, obs::Delivery::Dropped, 0);
     ctx_.misses.on_dropped(id_, b);
     line->state = mem::LineState::Invalid;
     cache_.notify(b);
@@ -247,16 +236,9 @@ void UpdateCacheController::apply_update(const Message& msg) {
   }
   cache_.write(msg.addr, msg.payload2 ? msg.payload2 : mem::kWordSize, msg.payload);
   ctx_.updates.on_update_applied(id_, msg.addr);
-  if (ctx_.sharing)
-    ctx_.sharing->on_update_delivered(id_, msg.addr, msg.requester,
-                                      obs::SharingTracker::Delivery::Applied);
-  // The value is already globally ordered (the home multicast it); record
-  // the word image this copy now shows, which can differ transiently from
-  // the home's under sub-word write interleavings.
-  if (ctx_.checker)
-    ctx_.checker->on_local_write(
-        id_, msg.addr,
-        cache_.read(msg.addr - msg.addr % mem::kWordSize, mem::kWordSize));
+  for (obs::Observer* o : ctx_.observers)
+    o->on_update_delivered(id_, msg.addr, msg.requester, obs::Delivery::Applied,
+                           word_at(msg.addr));
   cache_.notify(b);
   send(ack);
 }
@@ -295,8 +277,7 @@ void UpdateCacheController::on_message(const Message& msg) {
       if (msg.flag) {
         if (mem::CacheLine* line = cache_.find(b)) {
           line->state = mem::LineState::PrivateDirty;
-          if (ctx_.checker) ctx_.checker->on_writable(id_, b);
-          if (ctx_.sharing) ctx_.sharing->on_writable(id_, b);
+          for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
         }
       }
       check_fences();

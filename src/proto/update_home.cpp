@@ -1,8 +1,5 @@
 #include "proto/update_controllers.hpp"
 
-#include "obs/hot_blocks.hpp"
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -24,7 +21,7 @@ void UpdateHomeController::on_message(const Message& msg) {
     case MsgType::GetS:
     case MsgType::UpdateReq:
     case MsgType::AtomicReq:
-      if (ctx_.hot) ctx_.hot->on_home_txn(b);
+      for (obs::Observer* o : ctx_.observers) o->on_home_txn(b);
       if (pending_.contains(b)) {
         pending_[b].queued.push_back(msg);
         return;
@@ -223,12 +220,9 @@ void UpdateHomeController::serve_update(const Message& msg) {
       memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
       memory_.write_word(msg.addr, msg.payload2, msg.payload);
       ctx_.misses.on_store(msg.src, msg.addr);
-      if (ctx_.checker)
-        ctx_.checker->on_global_write(
-            msg.src, msg.addr,
-            memory_.read_word(msg.addr - msg.addr % mem::kWordSize,
-                              mem::kWordSize));
-      if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
+      for (obs::Observer* o : ctx_.observers)
+        o->on_global_write(msg.src, msg.addr,
+                           memory_.read_word(mem::word_base(msg.addr), mem::kWordSize));
       Message g;
       g.type = MsgType::UpdateGrant;
       g.dst = msg.src;
@@ -246,11 +240,9 @@ void UpdateHomeController::serve_update(const Message& msg) {
   memory_.write_word(msg.addr, msg.payload2, msg.payload);
   ctx_.misses.on_store(msg.src, msg.addr);
   // The home orders update-protocol writes: this is the global-order point.
-  if (ctx_.checker)
-    ctx_.checker->on_global_write(
-        msg.src, msg.addr,
-        memory_.read_word(msg.addr - msg.addr % mem::kWordSize, mem::kWordSize));
-  if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
+  for (obs::Observer* o : ctx_.observers)
+    o->on_global_write(msg.src, msg.addr,
+                       memory_.read_word(mem::word_base(msg.addr), mem::kWordSize));
 
   if (enable_private_ && e.state == DirState::Update && e.only_sharer_is(msg.src)) {
     // Only the writer caches this block: tell it to retain future updates
@@ -310,13 +302,11 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
         wrote = false;
       break;
   }
-  if (ctx_.checker) ctx_.checker->on_read(msg.src, msg.addr, old);
-  if (ctx_.sharing) ctx_.sharing->on_read(msg.src, msg.addr);
+  for (obs::Observer* o : ctx_.observers) o->on_read(msg.src, msg.addr, old);
   if (wrote) {
     memory_.write_word(msg.addr, mem::kWordSize, next);
     ctx_.misses.on_store(msg.src, msg.addr);
-    if (ctx_.checker) ctx_.checker->on_global_write(msg.src, msg.addr, next);
-    if (ctx_.sharing) ctx_.sharing->on_global_write(msg.src, msg.addr);
+    for (obs::Observer* o : ctx_.observers) o->on_global_write(msg.src, msg.addr, next);
   }
 
   // Atomically-accessed data follows the same coherence protocol as all

@@ -1,7 +1,5 @@
 #include "proto/wi_controllers.hpp"
 
-#include "obs/invariants.hpp"
-#include "obs/sharing.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -43,11 +41,8 @@ void WiCacheController::perform_store(const mem::WriteBufferEntry& e) {
   cache_.write(e.addr, e.size, e.value);
   ctx_.misses.on_store(id_, e.addr);
   // A store into a Modified line is globally ordered the moment it lands.
-  if (ctx_.checker)
-    ctx_.checker->on_global_write(
-        id_, e.addr,
-        cache_.read(e.addr - e.addr % mem::kWordSize, mem::kWordSize));
-  if (ctx_.sharing) ctx_.sharing->on_global_write(id_, e.addr);
+  for (obs::Observer* o : ctx_.observers)
+    o->on_global_write(id_, e.addr, word_at(e.addr));
 }
 
 void WiCacheController::drain_head() {
@@ -113,15 +108,13 @@ std::uint64_t apply_atomic(net::AtomicOp op, std::uint64_t old, std::uint64_t v1
 void WiCacheController::do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t v1,
                                         std::uint64_t v2, LoadCallback done) {
   const std::uint64_t old = cache_.read(a, mem::kWordSize);
-  if (ctx_.checker) ctx_.checker->on_read(id_, a, old);
-  if (ctx_.sharing) ctx_.sharing->on_read(id_, a);
+  for (obs::Observer* o : ctx_.observers) o->on_read(id_, a, old);
   bool wrote = false;
   const std::uint64_t next = apply_atomic(op, old, v1, v2, wrote);
   if (wrote) {
     cache_.write(a, mem::kWordSize, next);
     ctx_.misses.on_store(id_, a);
-    if (ctx_.checker) ctx_.checker->on_global_write(id_, a, next);
-    if (ctx_.sharing) ctx_.sharing->on_global_write(id_, a);
+    for (obs::Observer* o : ctx_.observers) o->on_global_write(id_, a, next);
   }
   ctx_.q.schedule(kAtomicCycles, [done = std::move(done), old] { done(old); });
 }
@@ -314,8 +307,7 @@ void WiCacheController::on_message(const Message& msg) {
       pending_acks_ += static_cast<std::int64_t>(msg.payload);
       --outstanding_;
       fill(b, msg.block, mem::LineState::Modified);
-      if (ctx_.checker) ctx_.checker->on_writable(id_, b);
-      if (ctx_.sharing) ctx_.sharing->on_writable(id_, b);
+      for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
       Message fin;
       fin.type = MsgType::ExclDone;
       fin.dst = ctx_.alloc.home_of(b);
@@ -334,8 +326,7 @@ void WiCacheController::on_message(const Message& msg) {
                   static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
                   static_cast<unsigned long long>(ctx_.q.now()));
       line->state = mem::LineState::Modified;
-      if (ctx_.checker) ctx_.checker->on_writable(id_, b);
-      if (ctx_.sharing) ctx_.sharing->on_writable(id_, b);
+      for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
       pending_acks_ += static_cast<std::int64_t>(msg.payload);
       --outstanding_;
       Message fin;

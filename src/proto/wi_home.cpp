@@ -1,7 +1,5 @@
 #include "proto/wi_controllers.hpp"
 
-#include "obs/hot_blocks.hpp"
-#include "obs/sharing.hpp"
 #include "sim/check.hpp"
 
 #include <cassert>
@@ -115,7 +113,7 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
       inv.addr = req.addr;  // carries the triggering word for classification
       inv.requester = req.src;
       send_from(inv);
-      if (ctx_.sharing) ctx_.sharing->on_inval_sent(s, req.addr, req.src);
+      for (obs::Observer* o : ctx_.observers) o->on_inval_sent(s, req.addr, req.src);
       ++acks;
     }
   }
@@ -162,7 +160,7 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
           inv.addr = req.addr;
           inv.requester = req.src;
           send_from(inv);
-          if (ctx_.sharing) ctx_.sharing->on_inval_sent(s, req.addr, req.src);
+          for (obs::Observer* o : ctx_.observers) o->on_inval_sent(s, req.addr, req.src);
           ++acks;
         }
         const Cycle ready =
@@ -202,7 +200,7 @@ void WiHomeController::on_message(const Message& msg) {
     case MsgType::GetS:
     case MsgType::GetX:
     case MsgType::Upgrade:
-      if (ctx_.hot) ctx_.hot->on_home_txn(b);
+      for (obs::Observer* o : ctx_.observers) o->on_home_txn(b);
       if (active_.contains(b))
         queued_[b].push_back(msg);
       else

@@ -1,10 +1,5 @@
 #include "stats/miss_classifier.hpp"
 
-#include "obs/cycle_accounting.hpp"
-#include "obs/hot_blocks.hpp"
-
-#include <cassert>
-
 namespace ccsim::stats {
 
 MissClassifier::BlockInfo& MissClassifier::info(mem::BlockAddr b) {
@@ -26,7 +21,7 @@ void MissClassifier::on_invalidated(NodeId proc, mem::BlockAddr b, Addr trigger)
   pp.loss = Loss::Inval;
   pp.snapshot = bi.version;
   pp.trigger_mask = static_cast<std::uint8_t>(1u << mem::word_of(trigger));
-  if (hot_) hot_->on_inval(b);
+  for (obs::Observer* o : observers_) o->on_invalidated(proc, b, trigger);
 }
 
 void MissClassifier::on_evicted(NodeId proc, mem::BlockAddr b) {
@@ -78,8 +73,7 @@ MissClass MissClassifier::classify_miss(NodeId proc, Addr addr) {
     }
   }
   ++counters_.misses[c];
-  if (hot_) hot_->on_miss(mem::block_of(addr), c);
-  if (ledger_) ledger_->note_miss(proc, addr, c);
+  for (obs::Observer* o : observers_) o->on_miss(proc, addr, c);
   return c;
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "obs/observer.hpp"
 #include "sim/types.hpp"
 #include "stats/counters.hpp"
 
@@ -26,25 +27,14 @@
 #include <unordered_map>
 #include <vector>
 
-namespace ccsim::obs {
-class CycleLedger;
-class HotBlockTable;
-}
-
 namespace ccsim::stats {
 
 class MissClassifier {
 public:
-  MissClassifier(unsigned nprocs, Counters& counters)
-      : nprocs_(nprocs), counters_(counters) {}
-
-  /// Attach a hot-block table: every classified miss and every invalidation
-  /// is additionally attributed to its block (nullptr = off).
-  void set_hot(obs::HotBlockTable* hot) noexcept { hot_ = hot; }
-
-  /// Attach a cycle ledger: every classified miss is reported so an open
-  /// read-stall span can resolve to its miss class (nullptr = off).
-  void set_ledger(obs::CycleLedger* l) noexcept { ledger_ = l; }
+  /// Every classified miss and every invalidation is also reported to
+  /// `observers` (on_miss, on_invalidated).
+  MissClassifier(unsigned nprocs, Counters& counters, obs::Observers observers = {})
+      : nprocs_(nprocs), counters_(counters), observers_(observers) {}
 
   /// A store to `addr` became globally visible, performed by `proc`.
   /// (WI: at the writer's cache once exclusive; PU/CU: at the home.)
@@ -87,8 +77,7 @@ private:
 
   unsigned nprocs_;
   Counters& counters_;
-  obs::HotBlockTable* hot_ = nullptr;
-  obs::CycleLedger* ledger_ = nullptr;
+  obs::Observers observers_;
   std::unordered_map<mem::BlockAddr, BlockInfo> blocks_;
 };
 

@@ -1,7 +1,5 @@
 #include "stats/update_classifier.hpp"
 
-#include "obs/hot_blocks.hpp"
-
 namespace ccsim::stats {
 
 UpdateClassifier::PerProc& UpdateClassifier::state(NodeId proc, mem::BlockAddr b) {
@@ -12,7 +10,7 @@ UpdateClassifier::PerProc& UpdateClassifier::state(NodeId proc, mem::BlockAddr b
 
 void UpdateClassifier::count(mem::BlockAddr b, UpdateClass cls) {
   ++counters_.updates[cls];
-  if (hot_) hot_->on_update(b, cls);
+  for (obs::Observer* o : observers_) o->on_update_classified(b, cls);
 }
 
 void UpdateClassifier::finalize_word(PerProc& pp, mem::BlockAddr b, unsigned w,

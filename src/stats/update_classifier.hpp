@@ -20,6 +20,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "obs/observer.hpp"
 #include "sim/types.hpp"
 #include "stats/counters.hpp"
 
@@ -27,20 +28,14 @@
 #include <unordered_map>
 #include <vector>
 
-namespace ccsim::obs {
-class HotBlockTable;
-}
-
 namespace ccsim::stats {
 
 class UpdateClassifier {
 public:
-  UpdateClassifier(unsigned nprocs, Counters& counters)
-      : nprocs_(nprocs), counters_(counters) {}
-
-  /// Attach a hot-block table: every classified update lifetime is
-  /// additionally attributed to its block (nullptr = off).
-  void set_hot(obs::HotBlockTable* hot) noexcept { hot_ = hot; }
+  /// Every classified update lifetime is also reported to `observers`
+  /// (on_update_classified).
+  UpdateClassifier(unsigned nprocs, Counters& counters, obs::Observers observers = {})
+      : nprocs_(nprocs), counters_(counters), observers_(observers) {}
 
   /// An update to `addr` was applied to `proc`'s cached copy.
   void on_update_applied(NodeId proc, Addr addr);
@@ -76,7 +71,7 @@ private:
 
   unsigned nprocs_;
   Counters& counters_;
-  obs::HotBlockTable* hot_ = nullptr;
+  obs::Observers observers_;
   std::unordered_map<mem::BlockAddr, BlockInfo> blocks_;
 };
 

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 namespace {
 
@@ -107,6 +108,23 @@ TEST(Cli, RejectsBadArgs) {
   char s2[] = "--scale=7";
   char* argv2[] = {prog, s2};
   EXPECT_THROW(harness::parse_bench_args(2, argv2), std::invalid_argument);
+}
+
+TEST(Cli, RejectsBadProcsItems) {
+  char prog[] = "bench";
+  for (std::string bad : {"--procs=abc", "--procs=4x", "--procs=-1", "--procs=4,,8",
+                          "--procs=0", "--procs=65"}) {
+    char* argv[] = {prog, bad.data()};
+    try {
+      (void)harness::parse_bench_args(2, argv);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--procs"), std::string::npos) << e.what();
+    }
+  }
+  char ok[] = "--procs=1,64";
+  char* argv[] = {prog, ok};
+  EXPECT_EQ(harness::parse_bench_args(2, argv).procs, (std::vector<unsigned>{1, 64}));
 }
 
 TEST(Cli, EnvDefaultScale) {

@@ -111,6 +111,18 @@ TEST_P(MachineBasic, RunTwiceThrows) {
                std::logic_error);
 }
 
+TEST_P(MachineBasic, NodeCountMustFitTheFullMapDirectory) {
+  // 0 nodes used to divide by zero at the first allocation, and 65 overflowed
+  // the 64-bit sharer set into a spurious lost-wakeup deadlock.
+  EXPECT_THROW({ Machine m(cfg_for(GetParam(), 0)); }, std::invalid_argument);
+  EXPECT_THROW({ Machine m(cfg_for(GetParam(), mem::kMaxNodes + 1)); },
+               std::invalid_argument);
+  Machine m(cfg_for(GetParam(), mem::kMaxNodes));
+  const Addr a = m.alloc().allocate_on(0, 8);
+  m.run_all([&](cpu::Cpu& c) -> sim::Task { (void)co_await c.load(a); });
+  EXPECT_EQ(m.counters().misses[stats::MissClass::Cold], mem::kMaxNodes);
+}
+
 TEST_P(MachineBasic, ColdMissesAreClassifiedCold) {
   Machine m(cfg_for(GetParam(), 2));
   const Addr a = m.alloc().allocate_on(0, 8);

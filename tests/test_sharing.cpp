@@ -35,9 +35,9 @@ TEST(SharingTracker, RejectsBadNprocs) {
 
 TEST(SharingTracker, IgnoresPrivateAddressesAndPokes) {
   obs::SharingTracker t(4, 4);
-  t.on_read(0, 0x100);          // below kSharedBase
-  t.on_global_write(1, 0x200);  // below kSharedBase
-  t.on_poke(kA);                // initialization, deliberately ignored
+  t.on_read(0, 0x100, 0);          // below kSharedBase
+  t.on_global_write(1, 0x200, 0);  // below kSharedBase
+  t.on_poke(kA, 0);                // initialization, deliberately ignored
   t.finalize();
   EXPECT_EQ(t.touched_blocks(), 0u);
 }
@@ -45,8 +45,8 @@ TEST(SharingTracker, IgnoresPrivateAddressesAndPokes) {
 TEST(SharingClassify, PrivateSingleNode) {
   obs::SharingTracker t(4, 4);
   for (int i = 0; i < 10; ++i) {
-    t.on_read(2, kA);
-    t.on_global_write(2, kA);
+    t.on_read(2, kA, 0);
+    t.on_global_write(2, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -58,7 +58,7 @@ TEST(SharingClassify, PrivateSingleNode) {
 
 TEST(SharingClassify, ReadOnlyManyReaders) {
   obs::SharingTracker t(8, 4);
-  for (NodeId n = 0; n < 8; ++n) t.on_read(n, kA + n % 2 * 8);
+  for (NodeId n = 0; n < 8; ++n) t.on_read(n, kA + n % 2 * 8, 0);
   t.finalize();
   const auto row = only_row(t);
   EXPECT_EQ(row.pattern, obs::SharingPattern::ReadOnly);
@@ -70,10 +70,10 @@ TEST(SharingClassify, FalseSharedWordDisjointWriters) {
   // the other's: classic false sharing.
   obs::SharingTracker t(4, 4);
   for (int i = 0; i < 20; ++i) {
-    t.on_read(0, kA);
-    t.on_global_write(0, kA);
-    t.on_read(1, kA + 8);
-    t.on_global_write(1, kA + 8);
+    t.on_read(0, kA, 0);
+    t.on_global_write(0, kA, 0);
+    t.on_read(1, kA + 8, 0);
+    t.on_global_write(1, kA + 8, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -86,10 +86,10 @@ TEST(SharingClassify, ProducerConsumerDisjointSets) {
   // never overlap, and they share the word (not false sharing).
   obs::SharingTracker t(4, 4);
   for (int i = 0; i < 10; ++i) {
-    t.on_global_write(0, kA);
-    t.on_read(1, kA);
-    t.on_read(2, kA);
-    t.on_read(3, kA);
+    t.on_global_write(0, kA, 0);
+    t.on_read(1, kA, 0);
+    t.on_read(2, kA, 0);
+    t.on_read(3, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -102,8 +102,8 @@ TEST(SharingClassify, MigratoryReadModifyWriteHandoff) {
   obs::SharingTracker t(4, 4);
   for (int round = 0; round < 8; ++round) {
     const NodeId n = round % 4;
-    t.on_read(n, kA);
-    t.on_global_write(n, kA);
+    t.on_read(n, kA, 0);
+    t.on_global_write(n, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -116,9 +116,9 @@ TEST(SharingClassify, WidelySharedManyReadersPerInterval) {
   // enough that reads do not dwarf them.
   obs::SharingTracker t(8, 4);
   for (int i = 0; i < 10; ++i) {
-    t.on_global_write(0, kA);
-    t.on_read(0, kA);
-    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA);
+    t.on_global_write(0, kA, 0);
+    t.on_read(0, kA, 0);
+    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -130,13 +130,13 @@ TEST(SharingClassify, ReadMostlyOutranksWidelyShared) {
   // Rare writes, overwhelming reads: read-mostly even though every
   // interval has many distinct readers (the widely-shared trigger).
   obs::SharingTracker t(8, 4);
-  t.on_global_write(0, kA);
-  t.on_read(0, kA);
+  t.on_global_write(0, kA, 0);
+  t.on_read(0, kA, 0);
   for (int i = 0; i < 10; ++i)
-    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA);
-  t.on_global_write(0, kA);
+    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA, 0);
+  t.on_global_write(0, kA, 0);
   for (int i = 0; i < 10; ++i)
-    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA);
+    for (NodeId n = 1; n < 8; ++n) t.on_read(n, kA, 0);
   t.finalize();
   const auto row = only_row(t);
   EXPECT_GE(row.reads, 16 * row.writes);
@@ -148,9 +148,9 @@ TEST(SharingReplay, PuMulticastsToAllCopiesCuPrunesIdleOnes) {
   // writes to node 1; the CU replay (threshold 4) delivers four, trips the
   // counter, and the drop costs a re-fetch when node 1 finally returns.
   obs::SharingTracker t(2, 4);
-  t.on_read(1, kA);
-  for (int i = 0; i < 10; ++i) t.on_global_write(0, kA);
-  t.on_read(1, kA);  // returns after the counter tripped: re-fetch
+  t.on_read(1, kA, 0);
+  for (int i = 0; i < 10; ++i) t.on_global_write(0, kA, 0);
+  t.on_read(1, kA, 0);  // returns after the counter tripped: re-fetch
   t.finalize();
   const auto row = only_row(t);
   EXPECT_EQ(row.pu_updates, 10u);
@@ -162,10 +162,10 @@ TEST(SharingReplay, ActiveReaderKeepsReceivingUpdates) {
   // A reader that reads between every pair of writes never trips the
   // counter: CU delivers exactly what PU delivers, no re-fetches.
   obs::SharingTracker t(2, 4);
-  t.on_read(1, kA);
+  t.on_read(1, kA, 0);
   for (int i = 0; i < 10; ++i) {
-    t.on_global_write(0, kA);
-    t.on_read(1, kA);
+    t.on_global_write(0, kA, 0);
+    t.on_read(1, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -178,8 +178,8 @@ TEST(SharingReplay, CostModelPrefersTheCheaperReplay) {
   // projected PU cost must undercut WI (which pays a miss per episode).
   obs::SharingTracker t(4, 4);
   for (int i = 0; i < 50; ++i) {
-    t.on_global_write(0, kA);
-    for (NodeId n = 1; n < 4; ++n) t.on_read(n, kA);
+    t.on_global_write(0, kA, 0);
+    for (NodeId n = 1; n < 4; ++n) t.on_read(n, kA, 0);
   }
   t.finalize();
   const auto row = only_row(t);
@@ -198,10 +198,10 @@ TEST(SharingReport, AggregatesBlocksIntoAllocs) {
   obs::SharingTracker t(4, 4);
   // Two blocks, one private to node 0, one producer/consumer.
   for (int i = 0; i < 5; ++i) {
-    t.on_read(0, kA);
-    t.on_global_write(0, kA);
-    t.on_global_write(1, kB);
-    t.on_read(2, kB);
+    t.on_read(0, kA, 0);
+    t.on_global_write(0, kA, 0);
+    t.on_global_write(1, kB, 0);
+    t.on_read(2, kB, 0);
   }
   t.finalize();
   const obs::SharingReport r = t.report(nullptr);
