@@ -17,9 +17,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
        {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
         harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
     for (proto::Protocol proto : kProtocols) {
-      const char* tag = k == harness::BarrierKind::CombiningTree
-                            ? "ct"
-                            : barrier_tag(k).data();
+      const std::string_view tag = harness::tag(k);
       std::vector<std::string> row{series_label(tag, proto)};
       for (unsigned p : opts.procs) {
         harness::MachineConfig cfg;

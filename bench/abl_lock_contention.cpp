@@ -20,7 +20,7 @@ void run_variant(const harness::BenchOptions& opts, harness::ObsSession& obs,
   for (harness::LockKind k :
        {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs}) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(lock_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (unsigned p : opts.procs) {
         harness::MachineConfig cfg;
         cfg.protocol = proto;
@@ -29,7 +29,7 @@ void run_variant(const harness::BenchOptions& opts, harness::ObsSession& obs,
         pp.total_acquires = opts.scaled(32000);
         if (pp.work_ratio != 0) pp.work_ratio = p;  // ratio tracks machine size
         obs.configure(cfg, std::string(tag) + "/" +
-                               series_label(lock_tag(k), proto) + "/P" +
+                               series_label(harness::tag(k), proto) + "/P" +
                                std::to_string(p));
         const auto r = harness::run_lock_experiment(cfg, k, pp);
         obs.record(r);

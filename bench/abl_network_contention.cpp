@@ -25,14 +25,14 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (harness::LockKind k :
        {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs}) {
     for (proto::Protocol proto : kProtocols) {
-      row(std::string("lock ") + series_label(lock_tag(k), proto), [&](bool link) {
+      row(std::string("lock ") + series_label(harness::tag(k), proto), [&](bool link) {
         harness::MachineConfig cfg;
         cfg.protocol = proto;
         cfg.nprocs = p;
         cfg.net.link_contention = link;
         harness::LockParams params;
         params.total_acquires = opts.scaled(32000);
-        obs.configure(cfg, series_label(lock_tag(k), proto) +
+        obs.configure(cfg, series_label(harness::tag(k), proto) +
                                (link ? "/link" : "/endpoint"));
         const auto r = harness::run_lock_experiment(cfg, k, params);
         obs.record(r);
@@ -44,13 +44,13 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
        {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
         harness::BarrierKind::Tree}) {
     for (proto::Protocol proto : kProtocols) {
-      row(std::string("barrier ") + series_label(barrier_tag(k), proto),
+      row(std::string("barrier ") + series_label(harness::tag(k), proto),
           [&](bool link) {
             harness::MachineConfig cfg;
             cfg.protocol = proto;
             cfg.nprocs = p;
             cfg.net.link_contention = link;
-            obs.configure(cfg, series_label(barrier_tag(k), proto) +
+            obs.configure(cfg, series_label(harness::tag(k), proto) +
                                    (link ? "/link" : "/endpoint"));
             const auto r =
                 harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});

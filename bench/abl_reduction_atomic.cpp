@@ -66,12 +66,12 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (harness::ReductionKind k :
        {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(reduction_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (unsigned p : opts.procs) {
         harness::MachineConfig cfg;
         cfg.protocol = proto;
         cfg.nprocs = p;
-        obs.configure(cfg, series_label(reduction_tag(k), proto) + "/P" +
+        obs.configure(cfg, series_label(harness::tag(k), proto) + "/P" +
                                std::to_string(p));
         const auto r = harness::run_reduction_experiment(cfg, k, {.rounds = rounds});
         obs.record(r);

@@ -18,7 +18,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     for (harness::ReductionKind k :
          {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
       for (proto::Protocol proto : kProtocols) {
-        std::vector<std::string> row{series_label(reduction_tag(k), proto)};
+        std::vector<std::string> row{series_label(harness::tag(k), proto)};
         for (unsigned p : opts.procs) {
           harness::MachineConfig cfg;
           cfg.protocol = proto;
@@ -26,7 +26,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
           harness::ReductionParams params;
           params.rounds = opts.scaled(5000);
           params.imbalance_max = imbalance;
-          obs.configure(cfg, series_label(reduction_tag(k), proto) + "/imb" +
+          obs.configure(cfg, series_label(harness::tag(k), proto) + "/imb" +
                                  std::to_string(imbalance) + "/P" +
                                  std::to_string(p));
           const auto r = harness::run_reduction_experiment(cfg, k, params);

@@ -42,29 +42,6 @@ inline std::string series_label(std::string_view algo, proto::Protocol p) {
   return s;
 }
 
-inline std::string_view lock_tag(harness::LockKind k) {
-  switch (k) {
-    case harness::LockKind::Ticket: return "tk";
-    case harness::LockKind::Mcs: return "MCS";
-    case harness::LockKind::UcMcs: return "uc";
-  }
-  return "?";
-}
-
-inline std::string_view barrier_tag(harness::BarrierKind k) {
-  switch (k) {
-    case harness::BarrierKind::Central: return "cb";
-    case harness::BarrierKind::Dissemination: return "db";
-    case harness::BarrierKind::Tree: return "tb";
-    case harness::BarrierKind::CombiningTree: return "ct";
-  }
-  return "?";
-}
-
-inline std::string_view reduction_tag(harness::ReductionKind k) {
-  return k == harness::ReductionKind::Parallel ? "pr" : "sr";
-}
-
 inline void print_table(const harness::Table& t, const harness::BenchOptions& o) {
   if (o.csv)
     t.print_csv(std::cout);
@@ -84,11 +61,7 @@ inline std::vector<harness::SweepResult> run_cells(
     std::fprintf(stderr,
                  "note: observability flags stream per-run output; "
                  "running with --jobs=1\n");
-  if (opts.jobs != 1 && !obs.enabled()) {
-    harness::SweepOptions so;
-    so.jobs = opts.jobs;
-    return harness::run_sweep(jobs, so);
-  }
+  if (opts.jobs != 1 && !obs.enabled()) return harness::run_sweep(jobs, {opts.jobs});
   std::vector<harness::SweepResult> out;
   out.reserve(jobs.size());
   for (const harness::SweepJob& j : jobs) {
@@ -109,26 +82,8 @@ inline std::string cell_num(const harness::SweepResult& r, int precision = 1) {
 /// After the table is printed: report failed cells on stderr and exit
 /// nonzero (throwing matches bench_main's error path).
 inline void check_failures(const std::vector<harness::SweepResult>& results) {
-  std::size_t failed = 0;
-  for (const harness::SweepResult& r : results) {
-    if (r.ok) continue;
-    ++failed;
-    std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                 r.error.c_str());
-  }
-  if (failed != 0)
+  if (const std::size_t failed = harness::print_failures(results))
     throw std::runtime_error(std::to_string(failed) + " cell(s) failed");
-}
-
-/// Strip a leading path and a trailing extension from argv[0] to name the
-/// metrics document after the bench binary.
-inline std::string bench_name(const char* argv0) {
-  std::string s = argv0 ? argv0 : "bench";
-  if (const auto slash = s.find_last_of("/\\"); slash != std::string::npos)
-    s.erase(0, slash + 1);
-  if (const auto dot = s.rfind('.'); dot != std::string::npos && dot > 0)
-    s.erase(dot);
-  return s;
 }
 
 inline int bench_main(int argc, char** argv, const char* title,
@@ -136,7 +91,7 @@ inline int bench_main(int argc, char** argv, const char* title,
                                    harness::ObsSession&)) {
   try {
     const harness::BenchOptions opts = harness::parse_bench_args(argc, argv);
-    harness::ObsSession obs(opts.obs, bench_name(argc > 0 ? argv[0] : nullptr));
+    harness::ObsSession obs(opts.obs, harness::program_name(argc > 0 ? argv[0] : nullptr));
     if (!opts.csv) {
       std::printf("%s\n", title);
       std::printf("(scale=%.3g of the paper's iteration counts; --paper for full)\n\n",

@@ -21,10 +21,10 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       cfg.nprocs = p;
       harness::LockParams params;
       params.total_acquires = opts.scaled(32000);
-      obs.configure(cfg, series_label(lock_tag(k), proto));
+      obs.configure(cfg, series_label(harness::tag(k), proto));
       const auto r = harness::run_lock_experiment(cfg, k, params);
       obs.record(r);
-      std::vector<std::string> row{series_label(lock_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (auto& cell : harness::update_cells(r.counters.updates)) row.push_back(cell);
       t.add_row(std::move(row));
     }

@@ -21,7 +21,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     for (proto::Protocol proto : kProtocols) {
       for (unsigned p : opts.procs) {
         harness::SweepJob j;
-        j.name = series_label(barrier_tag(k), proto) + "/P" + std::to_string(p);
+        j.name = series_label(harness::tag(k), proto) + "/P" + std::to_string(p);
         j.machine.protocol = proto;
         j.machine.nprocs = p;
         j.family = harness::ConstructFamily::Barrier;
@@ -38,7 +38,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
        {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
         harness::BarrierKind::Tree}) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(barrier_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (unsigned p : opts.procs) {
         (void)p;
         row.push_back(cell_num(results[i++]));

@@ -18,10 +18,10 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       harness::MachineConfig cfg;
       cfg.protocol = proto;
       cfg.nprocs = p;
-      obs.configure(cfg, series_label(barrier_tag(k), proto));
+      obs.configure(cfg, series_label(harness::tag(k), proto));
       const auto r = harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});
       obs.record(r);
-      std::vector<std::string> row{series_label(barrier_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (auto& cell : harness::miss_cells(r.counters.misses)) row.push_back(cell);
       t.add_row(std::move(row));
     }

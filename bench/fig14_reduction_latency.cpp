@@ -22,7 +22,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     for (proto::Protocol proto : kProtocols) {
       for (unsigned p : opts.procs) {
         harness::SweepJob j;
-        j.name = series_label(reduction_tag(k), proto) + "/P" + std::to_string(p);
+        j.name = series_label(harness::tag(k), proto) + "/P" + std::to_string(p);
         j.machine.protocol = proto;
         j.machine.nprocs = p;
         j.family = harness::ConstructFamily::Reduction;
@@ -38,7 +38,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (harness::ReductionKind k :
        {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(reduction_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (unsigned p : opts.procs) {
         (void)p;
         row.push_back(cell_num(results[i++]));

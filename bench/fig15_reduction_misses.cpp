@@ -19,10 +19,10 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       cfg.nprocs = p;
       harness::ReductionParams params;
       params.rounds = opts.scaled(5000);
-      obs.configure(cfg, series_label(reduction_tag(k), proto));
+      obs.configure(cfg, series_label(harness::tag(k), proto));
       const auto r = harness::run_reduction_experiment(cfg, k, params);
       obs.record(r);
-      std::vector<std::string> row{series_label(reduction_tag(k), proto)};
+      std::vector<std::string> row{series_label(harness::tag(k), proto)};
       for (auto& cell : harness::miss_cells(r.counters.misses)) row.push_back(cell);
       t.add_row(std::move(row));
     }

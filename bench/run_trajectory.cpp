@@ -9,9 +9,14 @@
 // documents; CI regenerates one per push and compares it against the
 // committed BENCH_ppopp97.json baseline.
 //
-//   run_trajectory [--out=FILE] [--scale=X] [--procs=a,b] [--paper]
-//                  [--jobs=N] [--host-metrics] [--progress] [--quiet]
+//   run_trajectory [--out FILE] [--scale X] [--procs a,b] [--paper]
+//                  [--jobs N] [--host-metrics] [--progress] [--quiet]
 //
+// The cells are harness::Grid expanded by grid_jobs: every lock, all four
+// barriers and both reductions (pr, sr) under WI / PU / CU, named
+// "fig08/tk/CU/p16" (no CU threshold in the name). Flags come from the
+// shared table in harness/cli (`--flag value` or `--flag=value`; --procs
+// items in [1, 64]; --help lists them); errors exit 1.
 // Defaults: --out=BENCH_ppopp97.json, --scale=0.02, --procs=16, --jobs=1.
 // --progress paints a live stderr cell counter (TTY only; progress is
 // presentation, not data, so the written document is unaffected) and
@@ -25,15 +30,12 @@
 // byte-identical output for every N (the committed baseline can be
 // regenerated at full parallelism); a given tree always produces the
 // same bytes and the baseline can be compared exactly.
-#include "bench_common.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trajectory.hpp"
 
-#include <fstream>
 #include <iostream>
 
-using namespace ccbench;
+using namespace ccsim;
 
 namespace {
 
@@ -57,166 +59,53 @@ harness::TrajectoryEntry make_entry(std::string name, const harness::RunResult& 
   return e;
 }
 
-std::string point_name(std::string_view fig, std::string_view tag,
-                       proto::Protocol proto, unsigned p) {
-  std::string s{fig};
+/// "fig08/tk/CU/p16": the figure that plots the construct's family.
+std::string point_name(const harness::GridCell& c) {
+  constexpr const char* kFigures[] = {"fig08", "fig11", "fig14"};
+  std::string s = kFigures[static_cast<std::size_t>(c.family)];
   s += '/';
-  s += tag;
+  s += c.tag();
   s += '/';
-  s += proto::to_string(proto);
+  s += proto::to_string(c.protocol);
   s += "/p";
-  s += std::to_string(p);
+  s += std::to_string(c.procs);
   return s;
-}
-
-harness::MachineConfig machine(proto::Protocol proto, unsigned p,
-                               bool host_metrics) {
-  harness::MachineConfig cfg;
-  cfg.protocol = proto;
-  cfg.nprocs = p;
-  cfg.obs.profile = true;  // the breakdown vector is part of the document
-  cfg.obs.host_metrics = host_metrics;
-  return cfg;
-}
-
-std::vector<harness::SweepJob> suite_jobs(const harness::BenchOptions& opts) {
-  std::vector<harness::SweepJob> jobs;
-  for (proto::Protocol proto : kProtocols) {
-    for (unsigned p : opts.procs) {
-      for (harness::LockKind k : {harness::LockKind::Ticket, harness::LockKind::Mcs,
-                                  harness::LockKind::UcMcs}) {
-        harness::SweepJob j;
-        j.name = point_name("fig08", lock_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Lock;
-        j.lock = k;
-        j.lock_params.total_acquires = opts.scaled(32000);
-        jobs.push_back(std::move(j));
-      }
-      for (harness::BarrierKind k :
-           {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-            harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
-        harness::SweepJob j;
-        j.name = point_name("fig11", barrier_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Barrier;
-        j.barrier = k;
-        j.barrier_params.episodes = opts.scaled(5000);
-        jobs.push_back(std::move(j));
-      }
-      for (harness::ReductionKind k :
-           {harness::ReductionKind::Parallel, harness::ReductionKind::Sequential}) {
-        harness::SweepJob j;
-        j.name = point_name("fig14", reduction_tag(k), proto, p);
-        j.machine = machine(proto, p, opts.obs.host_metrics);
-        j.family = harness::ConstructFamily::Reduction;
-        j.reduction = k;
-        j.reduction_params.rounds = opts.scaled(5000);
-        jobs.push_back(std::move(j));
-      }
-    }
-  }
-  return jobs;
-}
-
-harness::TrajectoryDoc run_suite(const harness::BenchOptions& opts, bool progress) {
-  harness::SweepOptions so;
-  so.jobs = opts.jobs;
-  const std::vector<harness::SweepJob> jobs = suite_jobs(opts);
-  harness::ProgressReporter reporter(std::cerr, jobs.size());
-  if (progress)
-    so.progress = [&reporter](std::size_t done, std::size_t) {
-      reporter.update(done);
-    };
-  const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-  reporter.finish();
-
-  harness::TrajectoryDoc doc;
-  doc.bench = "ppopp97";
-  std::size_t failed = 0;
-  for (const harness::SweepResult& r : results) {
-    if (!r.ok) {
-      ++failed;
-      std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                   r.error.c_str());
-      continue;
-    }
-    doc.entries.push_back(make_entry(r.name, r.run));
-  }
-  if (failed != 0)
-    throw std::runtime_error(std::to_string(failed) +
-                             " cell(s) failed; refusing to write a partial "
-                             "trajectory");
-  return doc;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    std::string out = "BENCH_ppopp97.json";
-    bool progress = false;
-    bool quiet = false;
-    harness::BenchOptions opts;
-    opts.scale = 0.02;
-    opts.procs = {16};
-    // Same flags as the figure benches, plus --out; re-parse what we need
-    // here because the trajectory writer has no table/CSV output.
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--out=", 0) == 0) {
-        out = a.substr(6);
-      } else if (a == "--paper") {
-        opts.scale = 1.0;
-      } else if (a.rfind("--scale=", 0) == 0) {
-        opts.scale = std::atof(a.c_str() + 8);
-      } else if (a.rfind("--jobs=", 0) == 0) {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(a.c_str() + 7, &end, 10);
-        if (end == a.c_str() + 7 || *end != '\0')
-          throw std::invalid_argument("--jobs needs a non-negative integer");
-        opts.jobs = static_cast<unsigned>(n);
-      } else if (a == "--host-metrics") {
-        opts.obs.host_metrics = true;
-      } else if (a == "--progress") {
-        progress = true;
-      } else if (a == "--quiet") {
-        quiet = true;
-      } else if (a.rfind("--procs=", 0) == 0) {
-        std::vector<unsigned> procs;
-        std::string list = a.substr(8);
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-          std::size_t comma = list.find(',', pos);
-          if (comma == std::string::npos) comma = list.size();
-          procs.push_back(
-              static_cast<unsigned>(std::stoul(list.substr(pos, comma - pos))));
-          pos = comma + 1;
-        }
-        if (procs.empty())
-          throw std::invalid_argument("--procs needs at least one value");
-        opts.procs = std::move(procs);
-      } else {
-        throw std::invalid_argument("unknown argument: " + a);
-      }
-    }
-    if (opts.scale <= 0.0 || opts.scale > 1.0)
-      throw std::invalid_argument("scale must be in (0, 1]");
-
-    const harness::TrajectoryDoc doc = run_suite(opts, progress && !quiet);
-    if (out == "-") {
-      harness::write_trajectory(std::cout, doc);
-    } else {
-      std::ofstream os(out);
-      if (!os) throw std::runtime_error("cannot open output file: " + out);
-      harness::write_trajectory(os, doc);
-      if (!quiet)
-        std::cout << "wrote " << doc.entries.size() << " benchmarks to " << out
-                  << "\n";
-    }
+  harness::Grid g;
+  g.barriers.assign(std::begin(harness::kBarrierKinds), std::end(harness::kBarrierKinds));
+  g.reductions.assign(std::begin(harness::kReductionKinds),
+                      std::end(harness::kReductionKinds));
+  g.machine.obs.profile = true;  // the breakdown vector is part of the document
+  harness::ToolOptions o{.out = "BENCH_ppopp97.json"};
+  harness::Flags flags{
+      {"--scale", "X", [&](const std::string& v) { g.scale = harness::parse_scale(v); }},
+      {"--paper", "", [&](const std::string&) { g.scale = 1.0; }},
+      {"--procs", "a,b,...",
+       [&](const std::string& v) {
+         g.procs = harness::parse_list(v, harness::parse_nodes);
+       }},
+      {"--host-metrics", "",
+       [&](const std::string&) { g.machine.obs.host_metrics = true; }},
+  };
+  return harness::tool_main(argc, argv, "run_trajectory", std::move(flags), o, [&] {
+    const std::vector<harness::SweepResult> results =
+        harness::run_sweep(harness::grid_jobs(g, point_name), o.sweep());
+    if (const std::size_t failed = harness::print_failures(results))
+      throw std::runtime_error(std::to_string(failed) +
+                               " cell(s) failed; refusing to write a partial "
+                               "trajectory");
+    harness::TrajectoryDoc doc;
+    doc.bench = "ppopp97";
+    for (const harness::SweepResult& r : results)
+      doc.entries.push_back(make_entry(r.name, r.run));
+    harness::write_output(o.out,
+                          [&](std::ostream& os) { harness::write_trajectory(os, doc); });
+    if (!o.quiet && o.out != "-")
+      std::cout << "wrote " << doc.entries.size() << " benchmarks to " << o.out << "\n";
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  }, 1);
 }

@@ -9,14 +9,12 @@
 // one block) and the padded ones as private, and its projected costs show
 // what the padding buys.
 //
-//   $ ./false_sharing [--procs N] [--iters N]
+//   $ ./false_sharing [--procs N] [--iters N]     (--procs in [1, 64])
 //
 // Exits nonzero if the classifier misses the diagnosis (the padded layout
 // must come out clean); tests/test_examples runs it that way.
 #include "ccsim.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -32,7 +30,7 @@ struct Layout {
 
 /// Run the increment loop with counter i at `base + i * stride` and return
 /// the run's sharing report.
-Layout run_layout(const char* label, unsigned procs, int iters,
+Layout run_layout(const char* label, unsigned procs, unsigned iters,
                   std::size_t stride) {
   harness::MachineConfig cfg;
   cfg.nprocs = procs;
@@ -47,7 +45,7 @@ Layout run_layout(const char* label, unsigned procs, int iters,
   out.label = label;
   out.cycles = m.run_all([&](cpu::Cpu& c) -> sim::Task {
     const Addr mine = base + c.id() * stride;
-    for (int i = 0; i < iters; ++i) {
+    for (unsigned i = 0; i < iters; ++i) {
       const std::uint64_t v = co_await c.load(mine);
       co_await c.store(mine, v + 1);
       co_await c.think(20);
@@ -71,21 +69,16 @@ bool all_blocks(const obs::SharingReport& r, obs::SharingPattern want) {
 
 int main(int argc, char** argv) {
   unsigned procs = 8;
-  int iters = 200;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--procs=", 0) == 0) {
-      procs = static_cast<unsigned>(std::atoi(a.c_str() + 8));
-    } else if (a.rfind("--iters=", 0) == 0) {
-      iters = std::atoi(a.c_str() + 8);
-    } else {
-      std::cerr << "usage: false_sharing [--procs=N] [--iters=N]\n";
-      return 2;
-    }
-  }
-  if (procs == 0 || procs > mem::kWordsPerBlock * 4 || iters <= 0) {
-    std::cerr << "error: procs must be in [1, "
-              << mem::kWordsPerBlock * 4 << "], iters positive\n";
+  unsigned iters = 200;
+  try {
+    harness::parse_flags(
+        argc, argv, "false_sharing",
+        {{"--procs", "N", [&](const std::string& v) { procs = harness::parse_nodes(v); }},
+         {"--iters", "N", [&](const std::string& v) {
+            iters = harness::positive(harness::parse_unsigned(v));
+          }}});
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
 

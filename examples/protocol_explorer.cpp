@@ -8,8 +8,9 @@
 //         central | dissem | tree     (barriers)
 //         parallel | sequential       (reductions)
 //
-//   Observability flags (--json, --trace-out, --trace-format,
-//   --sample-interval, --hot-top) are accepted after the positionals.
+//   nprocs: 1-64 (default 32). The observability flags of harness/cli
+//   (obs_flags: --json, --trace-out, --trace-format, --sample-interval,
+//   --hot-top, --profile, --host-metrics, --sharing) follow the positionals.
 //
 //   $ ./protocol_explorer lock mcs CU 32
 //   $ ./protocol_explorer barrier dissem PU 16 --json mcs.json --trace-out t.json
@@ -23,22 +24,16 @@ using namespace ccsim;
 
 namespace {
 
+constexpr const char* kProg =
+    "protocol_explorer <lock|barrier|reduction> <impl> <WI|PU|CU> [nprocs]";
+
 int usage() {
-  std::cerr << "usage: protocol_explorer <lock|barrier|reduction> <impl> "
-               "<WI|PU|CU> [nprocs] [--json FILE] [--trace-out FILE]\n"
-               "                         [--trace-format ring|jsonl|perfetto] "
-               "[--sample-interval N] [--hot-top K]\n"
-               "  lock impls:      ticket mcs ucmcs\n"
+  harness::ObsOptions unused;
+  std::cerr << harness::usage(kProg, harness::obs_flags(unused))
+            << "  lock impls:      ticket mcs ucmcs\n"
                "  barrier impls:   central dissem tree\n"
                "  reduction impls: parallel sequential\n";
   return 1;
-}
-
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("unknown protocol: " + s);
 }
 
 } // namespace
@@ -50,15 +45,12 @@ int main(int argc, char** argv) {
 
   harness::MachineConfig cfg;
   try {
-    cfg.protocol = parse_protocol(argv[3]);
+    cfg.protocol = harness::parse_protocol(argv[3]);
     int i = 4;
-    if (i < argc && argv[i][0] != '-') {
-      cfg.nprocs = static_cast<unsigned>(std::stoul(argv[i]));
-      ++i;
-    }
+    if (i < argc && argv[i][0] != '-') cfg.nprocs = harness::parse_nodes(argv[i++]);
     harness::ObsOptions obs_opts;
-    for (; i < argc; ++i)
-      if (!harness::parse_obs_arg(obs_opts, argc, argv, i)) return usage();
+    // parse_flags skips its argv[0]; hand it the slot before the first flag.
+    harness::parse_flags(argc - i + 1, argv + i - 1, kProg, harness::obs_flags(obs_opts));
     harness::ObsSession obs(obs_opts, "protocol_explorer");
     obs.configure(cfg, family + "/" + impl + "/" +
                            std::string(proto::to_string(cfg.protocol)));

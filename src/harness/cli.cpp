@@ -2,117 +2,191 @@
 
 #include "mem/directory.hpp"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
+#include <iostream>
+#include <limits>
 
 namespace ccsim::harness {
 
+std::string usage(std::string_view prog, const Flags& table) {
+  std::string out = "usage: " + std::string(prog);
+  const std::size_t indent = out.size();
+  std::size_t line_start = 0;
+  for (const Flag& f : table) {
+    std::string item = " [" + f.name;
+    if (!f.metavar.empty()) item += " " + f.metavar;
+    item += "]";
+    if (out.size() - line_start + item.size() > 80) {
+      out += '\n';
+      line_start = out.size();
+      out.append(indent, ' ');
+    }
+    out += item;
+  }
+  return out + "\n";
+}
+
+void parse_flags(int argc, char** argv, std::string_view prog, const Flags& table) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << usage(prog, table);
+      std::exit(0);
+    }
+    const std::size_t eq = arg.find('=');
+    const auto f = std::find_if(table.begin(), table.end(), [&](const Flag& x) {
+      return x.name == arg.substr(0, eq);
+    });
+    if (f == table.end())
+      throw std::invalid_argument("unknown argument: " + std::string(arg));
+    std::string value;
+    if (f->metavar.empty()) {
+      if (eq != std::string_view::npos)
+        throw std::invalid_argument(f->name + " takes no value");
+    } else if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      throw std::invalid_argument(f->name + " needs a value");
+    }
+    try {
+      f->set(value);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(f->name + ": " + e.what());
+    }
+  }
+}
+
+std::string program_name(const char* argv0) {
+  std::string s = argv0 ? argv0 : "bench";
+  if (const auto slash = s.find_last_of("/\\"); slash != std::string::npos)
+    s.erase(0, slash + 1);
+  if (const auto dot = s.rfind('.'); dot != std::string::npos && dot > 0)
+    s.erase(dot);
+  return s;
+}
+
+std::uint64_t parse_u64(std::string_view s) {
+  const bool hex = s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+  const std::string_view digits = hex ? s.substr(2) : s;
+  std::uint64_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), v, hex ? 16 : 10);
+  if (digits.empty() || ec != std::errc{} || end != digits.data() + digits.size())
+    throw std::invalid_argument("'" + std::string(s) + "' is not an unsigned integer");
+  return v;
+}
+
+unsigned parse_unsigned(std::string_view s) {
+  const std::uint64_t v = parse_u64(s);
+  if (v > std::numeric_limits<unsigned>::max())
+    throw std::invalid_argument("'" + std::string(s) + "' is too large");
+  return static_cast<unsigned>(v);
+}
+
+unsigned parse_nodes(std::string_view s) {
+  std::uint64_t n = 0;
+  try {
+    n = parse_u64(s);
+  } catch (const std::invalid_argument&) {
+  }
+  if (n == 0 || n > mem::kMaxNodes)
+    throw std::invalid_argument("'" + std::string(s) + "' is not a node count in [1, " +
+                                std::to_string(mem::kMaxNodes) + "]");
+  return static_cast<unsigned>(n);
+}
+
 namespace {
-std::vector<unsigned> parse_list(const std::string& s) {
-  std::vector<unsigned> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(item.c_str(), &end, 10);
-    if (item.empty() || !std::isdigit(static_cast<unsigned char>(item[0])) ||
-        *end != '\0' || n == 0 || n > mem::kMaxNodes)
-      throw std::invalid_argument("--procs: '" + item + "' is not a node count in [1, " +
-                                  std::to_string(mem::kMaxNodes) + "]");
-    out.push_back(static_cast<unsigned>(n));
-    pos = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("--procs needs at least one value");
-  return out;
-}
-
-/// Match `--flag=value` or `--flag value`; on a match, `value` is set and
-/// `i` is left on the last argv slot consumed.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-obs::TraceFormat parse_trace_format(const std::string& s) {
-  if (s == "ring") return obs::TraceFormat::Ring;
-  if (s == "jsonl") return obs::TraceFormat::Jsonl;
-  if (s == "perfetto") return obs::TraceFormat::Perfetto;
-  throw std::invalid_argument("--trace-format must be ring, jsonl or perfetto");
+/// A whole-string finite decimal number.
+double parse_double(std::string_view s) {
+  const std::string str(s);
+  char* end = nullptr;
+  const double v = std::strtod(str.c_str(), &end);
+  if (str.empty() || std::isspace(static_cast<unsigned char>(str[0])) ||
+      *end != '\0' || !std::isfinite(v))
+    throw std::invalid_argument("'" + str + "' is not a number");
+  return v;
 }
 } // namespace
 
-bool parse_obs_arg(ObsOptions& o, int argc, char** argv, int& i) {
-  std::string v;
-  if (take_value("--json", argc, argv, i, v)) {
-    o.json_path = v;
-  } else if (take_value("--trace-out", argc, argv, i, v)) {
-    o.trace_path = v;
-  } else if (take_value("--trace-format", argc, argv, i, v)) {
-    o.trace_format = parse_trace_format(v);
-  } else if (take_value("--sample-interval", argc, argv, i, v)) {
-    o.sample_interval = std::strtoull(v.c_str(), nullptr, 10);
-    if (o.sample_interval == 0)
-      throw std::invalid_argument("--sample-interval must be > 0");
-  } else if (take_value("--hot-top", argc, argv, i, v)) {
-    o.hot_top_k = std::strtoull(v.c_str(), nullptr, 10);
-    if (o.hot_top_k == 0) throw std::invalid_argument("--hot-top must be > 0");
-  } else if (std::strcmp(argv[i], "--profile") == 0) {
-    o.profile = true;
-  } else if (std::strcmp(argv[i], "--host-metrics") == 0) {
-    o.host_metrics = true;
-  } else if (std::strcmp(argv[i], "--sharing") == 0) {
-    o.sharing = true;
-  } else {
-    return false;
+double parse_scale(std::string_view s) {
+  const double v = parse_double(s);
+  if (v <= 0.0 || v > 1.0) throw std::invalid_argument("scale must be in (0, 1]");
+  return v;
+}
+
+double parse_percent(std::string_view s) {
+  const double v = parse_double(s);
+  if (v < 0.0 || v > 100.0) throw std::invalid_argument("must be in [0, 100]");
+  return v;
+}
+
+proto::Protocol parse_protocol(std::string_view s) {
+  constexpr proto::Protocol kPure[] = {proto::Protocol::WI, proto::Protocol::PU,
+                                       proto::Protocol::CU};
+  return parse_choice(s, kPure, [](proto::Protocol p) { return proto::to_string(p); });
+}
+
+std::vector<std::string> split_list(std::string_view s) {
+  std::vector<std::string> out;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    if (comma == pos)
+      throw std::invalid_argument("'" + std::string(s) + "' has an empty list item");
+    out.emplace_back(s.substr(pos, comma - pos));
+    if (comma == s.size()) return out;
+    pos = comma + 1;
   }
-  return true;
+}
+
+std::uint64_t scaled(double scale, std::uint64_t paper_count) {
+  const auto n = static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
+  return n < 32 ? 32 : n;
+}
+
+Flags obs_flags(ObsOptions& o) {
+  return {
+      {"--json", "FILE", [&o](const std::string& v) { o.json_path = v; }},
+      {"--trace-out", "FILE", [&o](const std::string& v) { o.trace_path = v; }},
+      {"--trace-format", "ring|jsonl|perfetto",
+       [&o](const std::string& v) {
+         constexpr obs::TraceFormat kFormats[] = {obs::TraceFormat::Ring,
+                                                  obs::TraceFormat::Jsonl,
+                                                  obs::TraceFormat::Perfetto};
+         o.trace_format = parse_choice(v, kFormats, [](obs::TraceFormat f) {
+           return f == obs::TraceFormat::Ring    ? "ring"
+                  : f == obs::TraceFormat::Jsonl ? "jsonl"
+                                                 : "perfetto";
+         });
+       }},
+      {"--sample-interval", "N",
+       [&o](const std::string& v) { o.sample_interval = positive(parse_u64(v)); }},
+      {"--hot-top", "K",
+       [&o](const std::string& v) { o.hot_top_k = positive(parse_u64(v)); }},
+      {"--profile", "", [&o](const std::string&) { o.profile = true; }},
+      {"--host-metrics", "", [&o](const std::string&) { o.host_metrics = true; }},
+      {"--sharing", "", [&o](const std::string&) { o.sharing = true; }},
+  };
 }
 
 BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions o;
   if (const char* env = std::getenv("REPRO_SCALE")) o.scale = std::atof(env);
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (a == "--paper") {
-      o.scale = 1.0;
-    } else if (a.rfind("--scale=", 0) == 0) {
-      o.scale = std::atof(a.c_str() + 8);
-    } else if (a.rfind("--procs=", 0) == 0) {
-      o.procs = parse_list(a.substr(8));
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0')
-        throw std::invalid_argument("--jobs needs a non-negative integer");
-      o.jobs = static_cast<unsigned>(n);
-    } else if (parse_obs_arg(o.obs, argc, argv, i)) {
-      // consumed (possibly including a separate value argument)
-    } else if (a == "--help" || a == "-h") {
-      // handled by the bench's own usage text; ignore here
-    } else {
-      throw std::invalid_argument("unknown argument: " + a);
-    }
-  }
+  Flags table{
+      {"--paper", "", [&o](const std::string&) { o.scale = 1.0; }},
+      {"--scale", "X", [&o](const std::string& v) { o.scale = parse_scale(v); }},
+      {"--procs", "a,b,...",
+       [&o](const std::string& v) { o.procs = parse_list(v, parse_nodes); }},
+      {"--csv", "", [&o](const std::string&) { o.csv = true; }},
+      {"--jobs", "N", [&o](const std::string& v) { o.jobs = parse_unsigned(v); }},
+  };
+  for (Flag& f : obs_flags(o.obs)) table.push_back(std::move(f));
+  parse_flags(argc, argv, program_name(argc > 0 ? argv[0] : nullptr), table);
   if (o.scale <= 0.0 || o.scale > 1.0)
-    throw std::invalid_argument("scale must be in (0, 1]");
+    throw std::invalid_argument("REPRO_SCALE must be in (0, 1]");
   return o;
 }
 

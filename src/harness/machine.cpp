@@ -38,8 +38,9 @@ Machine::Machine(MachineConfig cfg)
                  ? std::make_unique<sim::TraceLog>()
                  : nullptr),
       alloc_(cfg.nprocs),
-      checker_(cfg.obs.check_invariants ? std::make_unique<obs::InvariantChecker>()
-                                        : nullptr),
+      checker_(cfg.obs.check_invariants
+                   ? std::make_unique<obs::InvariantChecker>(cfg.nprocs)
+                   : nullptr),
       sharing_(cfg.obs.sharing ? std::make_unique<obs::SharingTracker>(
                                      cfg.nprocs, cfg.cu_threshold)
                                : nullptr),

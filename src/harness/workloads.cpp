@@ -39,6 +39,27 @@ std::string_view to_string(ReductionKind k) noexcept {
   return "?";
 }
 
+std::string_view tag(LockKind k) noexcept {
+  switch (k) {
+    case LockKind::Ticket: return "tk";
+    case LockKind::Mcs: return "MCS";
+    case LockKind::UcMcs: return "uc";
+  }
+  return "?";
+}
+std::string_view tag(BarrierKind k) noexcept {
+  switch (k) {
+    case BarrierKind::Central: return "cb";
+    case BarrierKind::Dissemination: return "db";
+    case BarrierKind::Tree: return "tb";
+    case BarrierKind::CombiningTree: return "ct";
+  }
+  return "?";
+}
+std::string_view tag(ReductionKind k) noexcept {
+  return k == ReductionKind::Parallel ? "pr" : "sr";
+}
+
 namespace {
 std::unique_ptr<sync::Lock> make_lock(Machine& m, LockKind kind) {
   switch (kind) {

@@ -17,9 +17,24 @@ enum class LockKind { Ticket, Mcs, UcMcs };
 enum class BarrierKind { Central, Dissemination, Tree, CombiningTree };
 enum class ReductionKind { Parallel, Sequential };
 
+inline constexpr LockKind kLockKinds[] = {LockKind::Ticket, LockKind::Mcs,
+                                           LockKind::UcMcs};
+inline constexpr BarrierKind kBarrierKinds[] = {
+    BarrierKind::Central, BarrierKind::Dissemination, BarrierKind::Tree,
+    BarrierKind::CombiningTree};
+inline constexpr ReductionKind kReductionKinds[] = {ReductionKind::Parallel,
+                                                    ReductionKind::Sequential};
+
+/// Long names ("ticket", "central", "parallel", ...).
 [[nodiscard]] std::string_view to_string(LockKind k) noexcept;
 [[nodiscard]] std::string_view to_string(BarrierKind k) noexcept;
 [[nodiscard]] std::string_view to_string(ReductionKind k) noexcept;
+
+/// The paper's bar-label tags, used in cell names and on the command line:
+/// tk/MCS/uc, cb/db/tb/ct, pr/sr.
+[[nodiscard]] std::string_view tag(LockKind k) noexcept;
+[[nodiscard]] std::string_view tag(BarrierKind k) noexcept;
+[[nodiscard]] std::string_view tag(ReductionKind k) noexcept;
 
 struct RunResult {
   Cycle cycles = 0;          ///< total simulated execution time

@@ -61,7 +61,7 @@ void InvariantChecker::attach_node(mem::DataCache* cache,
 
 void InvariantChecker::record(Addr word_addr, std::uint64_t word) {
   History& h = history_[word_addr];
-  if (h.values.empty()) h.values.resize(cfg_.history_depth, 0);
+  if (h.values.empty()) h.values.resize(history_depth_, 0);
   h.values[h.head] = word;
   h.head = (h.head + 1) % h.values.size();
   if (h.head == 0) h.wrapped = true;
@@ -188,7 +188,7 @@ void InvariantChecker::on_event(const TraceEvent& e) {
   if (!e.has_msg) return;
   std::deque<std::string>& ring = recent_[mem::block_of(e.addr)];
   ring.push_back(format_event(e));
-  while (ring.size() > cfg_.trace_tail) ring.pop_front();
+  while (ring.size() > kTraceTail) ring.pop_front();
 }
 
 void InvariantChecker::audit_entry(NodeId home, mem::BlockAddr b,

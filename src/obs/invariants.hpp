@@ -60,6 +60,7 @@
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
@@ -77,18 +78,19 @@ public:
 
 class InvariantChecker : public TraceSink, public Observer {
 public:
-  struct Config {
-    /// Distinct values remembered per word for the read-membership check.
-    /// Deep enough that a legally stale copy's value is always still
-    /// remembered; a word is rarely overwritten 1024 times while one stale
-    /// copy survives.
-    std::size_t history_depth = 1024;
-    /// Per-block ring of recent trace events attached to violation reports.
-    std::size_t trace_tail = 12;
-  };
+  /// Per-block ring of recent trace events attached to violation reports.
+  static constexpr std::size_t kTraceTail = 12;
 
-  InvariantChecker() = default;
-  explicit InvariantChecker(Config cfg) : cfg_(cfg) {}
+  /// Values remembered per word for the read-membership check on an
+  /// `nprocs`-node machine: max(1024, 64 * nprocs). Every global write is
+  /// recorded at the home and again at each updated copy, so the ring
+  /// must grow with the node count to still hold the value a legally
+  /// stale copy returns; 1024 covers P <= 16.
+  [[nodiscard]] static std::size_t history_depth(unsigned nprocs) noexcept {
+    return std::max<std::size_t>(1024, std::size_t{64} * nprocs);
+  }
+
+  explicit InvariantChecker(unsigned nprocs) : history_depth_(history_depth(nprocs)) {}
 
   /// Name lookup for reports (optional; not owned).
   void set_alloc(const mem::SharedAllocator* a) noexcept { alloc_ = a; }
@@ -157,7 +159,7 @@ private:
   void audit_entry(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
   void audit_data(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
 
-  Config cfg_{};
+  std::size_t history_depth_;
   const mem::SharedAllocator* alloc_ = nullptr;
   std::vector<NodeView> nodes_;
   std::unordered_map<Addr, std::uint64_t> shadow_;  ///< word addr -> value

@@ -47,15 +47,16 @@ double SharingReport::total_cost(proto::Protocol p) const noexcept {
 SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold,
                                SharingConfig cfg)
     : nprocs_(nprocs), cu_threshold_(cu_threshold), cfg_(cfg) {
-  if (nprocs == 0 || nprocs > 32)
-    throw std::invalid_argument(
-        "SharingTracker: nprocs must be in [1, 32] (32-bit accessor sets)");
+  if (nprocs == 0 || nprocs > mem::kMaxNodes)
+    throw std::invalid_argument("SharingTracker: nprocs must be in [1, " +
+                                std::to_string(mem::kMaxNodes) +
+                                "] (64-bit accessor sets)");
 }
 
 void SharingTracker::on_read(NodeId reader, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
   BlockStats& s = blocks_[mem::block_of(a)];
-  const std::uint32_t bit = 1u << reader;
+  const NodeSet bit = NodeSet{1} << reader;
   const unsigned w = mem::word_of(a);
   s.readers |= bit;
   s.word_readers[w] |= bit;
@@ -82,7 +83,7 @@ void SharingTracker::close_interval(BlockStats& s, NodeId next_writer) {
   if (next_writer != s.last_writer) {
     ++s.handoffs;
     if (next_writer != kInvalidNode &&
-        ((s.cur_readers | s.prev_readers) & (1u << next_writer)) != 0)
+        ((s.cur_readers | s.prev_readers) & (NodeSet{1} << next_writer)) != 0)
       ++s.migratory_handoffs;
     ++s.runs;
     s.max_run = std::max(s.max_run, s.run_len);
@@ -93,7 +94,7 @@ void SharingTracker::close_interval(BlockStats& s, NodeId next_writer) {
 void SharingTracker::on_global_write(NodeId writer, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
   BlockStats& s = blocks_[mem::block_of(a)];
-  const std::uint32_t bit = 1u << writer;
+  const NodeSet bit = NodeSet{1} << writer;
   if (s.writes != 0) close_interval(s, writer);
   s.prev_readers = s.cur_readers;
   s.cur_readers = 0;
@@ -114,12 +115,12 @@ void SharingTracker::on_global_write(NodeId writer, Addr a, std::uint64_t) {
       cu_threshold_ != 0
           ? static_cast<std::uint8_t>(std::min(cu_threshold_, 255u))
           : std::uint8_t{4};
-  std::uint32_t targets = s.cu_live & ~bit;
+  NodeSet targets = s.cu_live & ~bit;
   while (targets != 0) {
     const unsigned n = static_cast<unsigned>(std::countr_zero(targets));
     targets &= targets - 1;
     ++s.cu_updates;
-    if (++s.cu_streak[n] >= t) s.cu_live &= ~(1u << n);
+    if (++s.cu_streak[n] >= t) s.cu_live &= ~(NodeSet{1} << n);
   }
   s.copies |= bit;
   s.cu_live |= bit;
@@ -131,7 +132,7 @@ void SharingTracker::on_local_write(NodeId writer, Addr a, std::uint64_t) {
   // only the accessor bitmaps learn about the writer (idempotent).
   if (!mem::is_shared(a)) return;
   BlockStats& s = blocks_[mem::block_of(a)];
-  const std::uint32_t bit = 1u << writer;
+  const NodeSet bit = NodeSet{1} << writer;
   s.writers |= bit;
   s.word_writers[mem::word_of(a)] |= bit;
   // The writer's own copy is fresh by definition.
@@ -151,7 +152,7 @@ void SharingTracker::on_inval_sent(NodeId, Addr trigger, NodeId) {
 void SharingTracker::on_update_delivered(NodeId dst, Addr a, NodeId, Delivery d,
                                          std::uint64_t) {
   BlockStats& s = blocks_[mem::block_of(a)];
-  const std::uint32_t bit = 1u << dst;
+  const NodeSet bit = NodeSet{1} << dst;
   const unsigned w = mem::word_of(a);
   ++s.updates_delivered;
   switch (d) {
@@ -192,14 +193,14 @@ void SharingTracker::finalize() {
 }
 
 SharingPattern SharingTracker::classify(const BlockStats& s) const {
-  const std::uint32_t acc = s.readers | s.writers;
+  const NodeSet acc = s.readers | s.writers;
   if (std::popcount(acc) <= 1) return SharingPattern::Private;
   if (s.writes == 0) return SharingPattern::ReadOnly;
 
   bool word_multi = false;
-  std::uint32_t word_owners = 0;
+  NodeSet word_owners = 0;
   for (unsigned w = 0; w < mem::kWordsPerBlock; ++w) {
-    const std::uint32_t wa = s.word_readers[w] | s.word_writers[w];
+    const NodeSet wa = s.word_readers[w] | s.word_writers[w];
     if (wa == 0) continue;
     if (std::popcount(wa) > 1) word_multi = true;
     word_owners |= wa;

@@ -30,6 +30,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/directory.hpp"
 #include "obs/observer.hpp"
 #include "proto/protocol.hpp"
 #include "sim/types.hpp"
@@ -178,8 +179,8 @@ struct SharingReport {
 
 class SharingTracker : public Observer {
 public:
-  /// Throws std::invalid_argument if nprocs exceeds 32 (accessor sets are
-  /// 32-bit node bitmaps).
+  /// Throws std::invalid_argument unless nprocs is in [1, mem::kMaxNodes]
+  /// (accessor sets are 64-bit node bitmaps).
   explicit SharingTracker(unsigned nprocs, unsigned cu_threshold,
                           SharingConfig cfg = {});
 
@@ -219,14 +220,16 @@ public:
   }
 
 private:
+  using NodeSet = std::uint64_t;  ///< bit n = node n
+
   struct BlockStats {
-    std::uint32_t readers = 0, writers = 0;  ///< node bitmaps
-    std::array<std::uint32_t, mem::kWordsPerBlock> word_readers{};
-    std::array<std::uint32_t, mem::kWordsPerBlock> word_writers{};
+    NodeSet readers = 0, writers = 0;
+    std::array<NodeSet, mem::kWordsPerBlock> word_readers{};
+    std::array<NodeSet, mem::kWordsPerBlock> word_writers{};
     std::uint64_t reads = 0, writes = 0;
     // Current write interval / run state.
-    std::uint32_t cur_readers = 0;   ///< readers since the last write
-    std::uint32_t prev_readers = 0;  ///< readers of the interval before
+    NodeSet cur_readers = 0;   ///< readers since the last write
+    NodeSet prev_readers = 0;  ///< readers of the interval before
     NodeId last_writer = kInvalidNode;
     std::uint64_t run_len = 0;
     // Closed aggregates.
@@ -242,14 +245,14 @@ private:
     // not tripped; `cu_streak[n]` counts consecutive updates node n
     // received without reading. Protocol-invariant by construction -- it
     // only consumes the global write order and per-node reads.
-    std::uint32_t copies = 0, cu_live = 0;
-    std::array<std::uint8_t, 32> cu_streak{};
+    NodeSet copies = 0, cu_live = 0;
+    std::array<std::uint8_t, mem::kMaxNodes> cu_streak{};
     std::uint64_t pu_updates = 0, cu_updates = 0, cu_refetches = 0;
     std::uint64_t invals_sent = 0, writable_grants = 0;
     std::uint64_t updates_delivered = 0, updates_wasted = 0,
                   updates_dropped = 0;
     /// Per word: nodes holding a delivered-but-unread update.
-    std::array<std::uint32_t, mem::kWordsPerBlock> pending_unread{};
+    std::array<NodeSet, mem::kWordsPerBlock> pending_unread{};
   };
 
   [[nodiscard]] SharingPattern classify(const BlockStats& s) const;

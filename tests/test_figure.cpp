@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -125,6 +127,109 @@ TEST(Cli, RejectsBadProcsItems) {
   char ok[] = "--procs=1,64";
   char* argv[] = {prog, ok};
   EXPECT_EQ(harness::parse_bench_args(2, argv).procs, (std::vector<unsigned>{1, 64}));
+}
+
+/// Run parse_flags over `args` and return the std::invalid_argument text
+/// ("" when the arguments parse).
+std::string flag_error(const harness::Flags& table, std::vector<std::string> args) {
+  static char prog[] = "prog";
+  std::vector<char*> argv{prog};
+  for (std::string& a : args) argv.push_back(a.data());
+  try {
+    harness::parse_flags(static_cast<int>(argv.size()), argv.data(), "prog", table);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A small flag table writing into its own fields (the setters capture
+/// `this`, so a fixture must not be copied).
+struct TableFixture {
+  unsigned jobs = 0;
+  bool quiet = false;
+  std::vector<unsigned> procs;
+  harness::Flags table{
+      {"--jobs", "N",
+       [this](const std::string& v) { jobs = harness::parse_unsigned(v); }},
+      {"--quiet", "", [this](const std::string&) { quiet = true; }},
+      {"--procs", "a,b,...",
+       [this](const std::string& v) {
+         procs = harness::parse_list(v, harness::parse_nodes);
+       }},
+  };
+};
+
+TEST(Cli, FlagTableRejectsWithTheFlagName) {
+  TableFixture f;
+  const std::vector<std::pair<std::string, std::vector<std::string>>> bad{
+      {"--quiet", {"--quiet=1"}},   // a switch given a value
+      {"--bogus", {"--bogus"}},     // unknown flag
+      {"--jobs", {"--jobs"}},       // missing value
+      {"--jobs", {"--jobs", "16abc"}},
+      {"--jobs", {"--jobs=-1"}},
+      {"--jobs", {"--jobs", "5x"}},
+      {"--jobs", {"--jobs= 5"}},
+      {"--procs", {"--procs", "16abc"}},
+      {"--procs", {"--procs=-1"}},
+      {"--procs", {"--procs", "1,,2"}},
+      {"--procs", {"--procs", "4,"}},
+      {"--procs", {"--procs", "0"}},
+      {"--procs", {"--procs=65"}},
+  };
+  for (const auto& [flag, args] : bad) {
+    const std::string err = flag_error(f.table, args);
+    EXPECT_NE(err.find(flag), std::string::npos) << args.back() << " -> " << err;
+  }
+}
+
+TEST(Cli, BothValueFormsParseTheSame) {
+  TableFixture a, b;
+  EXPECT_EQ(flag_error(a.table, {"--jobs", "3", "--procs", "1,64", "--quiet"}), "");
+  EXPECT_EQ(flag_error(b.table, {"--jobs=3", "--procs=1,64", "--quiet"}), "");
+  EXPECT_EQ(a.jobs, 3u);
+  EXPECT_EQ(a.jobs, b.jobs);
+  EXPECT_EQ(a.procs, (std::vector<unsigned>{1, 64}));
+  EXPECT_EQ(a.procs, b.procs);
+  EXPECT_TRUE(a.quiet && b.quiet);
+
+  char prog[] = "bench", s1[] = "--scale", s2[] = "0.25", s3[] = "--scale=0.25";
+  char* spaced[] = {prog, s1, s2};
+  char* joined[] = {prog, s3};
+  EXPECT_DOUBLE_EQ(harness::parse_bench_args(3, spaced).scale, 0.25);
+  EXPECT_DOUBLE_EQ(harness::parse_bench_args(2, joined).scale, 0.25);
+}
+
+TEST(Cli, ValueParsers) {
+  EXPECT_EQ(harness::parse_u64("0x5eed"), 0x5eedu);
+  EXPECT_EQ(harness::parse_u64("010"), 10u);
+  EXPECT_EQ(harness::parse_nodes("64"), 64u);
+  EXPECT_THROW((void)harness::parse_u64(""), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_u64("+1"), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_u64("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_unsigned("4294967296"), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_scale("0"), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_scale("0.5x"), std::invalid_argument);
+  EXPECT_THROW((void)harness::parse_percent("101"), std::invalid_argument);
+  EXPECT_EQ(harness::parse_protocol("cu"), proto::Protocol::CU);
+  EXPECT_THROW((void)harness::parse_protocol("hybrid"), std::invalid_argument);
+  EXPECT_EQ(harness::scaled(0.5, 5000), 2500u);
+  EXPECT_EQ(harness::scaled(0.001, 5000), 32u);
+}
+
+TEST(Cli, UsageListsEveryFlag) {
+  harness::ObsOptions o;
+  const harness::Flags table = harness::obs_flags(o);
+  const std::string u = harness::usage("protocol_explorer <family> <impl>", table);
+  EXPECT_EQ(u.rfind("usage: protocol_explorer <family> <impl> [--json FILE]", 0), 0u)
+      << u;
+  for (const harness::Flag& f : table) {
+    const std::string item =
+        "[" + f.name + (f.metavar.empty() ? "" : " " + f.metavar) + "]";
+    EXPECT_NE(u.find(item), std::string::npos) << item << " missing from\n" << u;
+  }
+  std::istringstream lines(u);
+  for (std::string line; std::getline(lines, line);) EXPECT_LE(line.size(), 80u) << line;
 }
 
 TEST(Cli, EnvDefaultScale) {

@@ -152,6 +152,22 @@ TEST(InvariantChecker, ObserverDoesNotChangeSimulatedCycles) {
   }
 }
 
+TEST(InvariantChecker, HistoryCoversSixtyFourNodeUpdateFanOut) {
+  // A PU write is recorded at the home and again at every updated copy, so
+  // a fixed 1024-entry history would cover only ~1024/P writes to a widely
+  // shared word and, at P=64, forget values a stale copy may still legally
+  // return: a false "value no write produced" report.
+  EXPECT_EQ(obs::InvariantChecker::history_depth(16), 1024u);
+  EXPECT_EQ(obs::InvariantChecker::history_depth(64), 4096u);
+  harness::StressParams sp;
+  sp.seed = 2;
+  sp.segments = 2;
+  sp.ops_per_segment = 8;
+  const harness::RunResult r =
+      harness::run_stress_cell(checked(proto::Protocol::PU, 64), sp);
+  EXPECT_GT(r.invariant_checks, 0u);
+}
+
 TEST(Watchdog, LostWakeupDrainsTheQueueAndThrowsDeadlockError) {
   MachineConfig cfg;
   cfg.nprocs = 2;

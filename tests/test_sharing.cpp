@@ -30,7 +30,34 @@ obs::SharingReport::Row only_row(const obs::SharingTracker& t) {
 
 TEST(SharingTracker, RejectsBadNprocs) {
   EXPECT_THROW(obs::SharingTracker t(0, 4), std::invalid_argument);
-  EXPECT_THROW(obs::SharingTracker t(33, 4), std::invalid_argument);
+  EXPECT_THROW(obs::SharingTracker t(65, 4), std::invalid_argument);
+}
+
+TEST(SharingTracker, SixtyFourNodeSetsKeepHighNodesApart) {
+  // Nodes 8 and 40 would share a bit of a 32-bit set; node 63 exercises the
+  // top slot of every per-node array.
+  obs::SharingTracker t(64, 4);
+  t.on_read(63, kB, 0);
+  for (int i = 0; i < 10; ++i) {
+    t.on_global_write(8, kA, 0);
+    t.on_global_write(40, kA + 8, 0);
+    t.on_global_write(0, kB, 0);
+  }
+  t.finalize();
+  const obs::SharingReport r = t.report(nullptr);
+  ASSERT_EQ(r.blocks.size(), 2u);
+  for (const obs::SharingReport::Row& row : r.blocks) {
+    EXPECT_EQ(row.accessors, 2u);
+    if (row.base == kA) {
+      EXPECT_EQ(row.pattern, obs::SharingPattern::FalseShared);
+      EXPECT_EQ(row.writer_count, 2u);
+    } else {
+      // Node 63 holds a copy through all ten writes under PU; under CU its
+      // counter trips after four unread updates.
+      EXPECT_EQ(row.pu_updates, 10u);
+      EXPECT_EQ(row.cu_updates, 4u);
+    }
+  }
 }
 
 TEST(SharingTracker, IgnoresPrivateAddressesAndPokes) {

@@ -74,14 +74,7 @@ std::vector<SweepJob> determinism_grid(bool profile = false) {
 std::string cell_json(const SweepResult& r) {
   std::ostringstream os;
   stats::JsonWriter w(os);
-  w.begin_object();
-  w.key("name").value(r.name);
-  w.key("ok").value(r.ok);
-  if (r.ok)
-    harness::write_run_fields(w, r.run);
-  else
-    w.key("error").value(r.error);
-  w.end_object();
+  harness::write_cell_json(w, r);
   return os.str();
 }
 
@@ -200,6 +193,101 @@ TEST(Sweep, ZeroJobsMeansHardwareConcurrency) {
 TEST(Sweep, EmptyJobListIsFine) {
   const auto results = harness::run_sweep({}, SweepOptions{});
   EXPECT_TRUE(results.empty());
+}
+
+/// grid_jobs with a name function that records every cell it is handed.
+std::vector<SweepJob> expand(const harness::Grid& g,
+                             std::vector<harness::GridCell>& cells) {
+  return harness::grid_jobs(g, [&cells](const harness::GridCell& c) {
+    cells.push_back(c);
+    return std::to_string(cells.size());
+  });
+}
+
+TEST(Grid, DefaultOrderIsProtocolThenProcsThenFamilyThenKind) {
+  harness::Grid g;
+  g.procs = {4, 8};
+  std::vector<harness::GridCell> cells;
+  const auto jobs = expand(g, cells);
+  // 3 protocols x 2 sizes x (3 locks + 3 barriers + 2 reductions).
+  ASSERT_EQ(jobs.size(), 48u);
+  ASSERT_EQ(cells.size(), jobs.size());
+  const std::vector<std::string> first{"tk", "MCS", "uc", "cb", "db",
+                                       "tb", "sr", "pr"};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(cells[i].protocol, g.protocols[i / 16]);
+    EXPECT_EQ(cells[i].procs, g.procs[i / 8 % 2]);
+    EXPECT_EQ(cells[i].tag(), first[i % 8]);
+    EXPECT_EQ(jobs[i].name, std::to_string(i + 1));
+  }
+  EXPECT_EQ(cells[0].kind(), "ticket");
+  EXPECT_EQ(cells[3].kind(), "central");
+}
+
+TEST(Grid, CuThresholdsMultiplyOnlyCuCells) {
+  harness::Grid g;
+  g.cu_thresholds = {2, 8};
+  std::vector<harness::GridCell> cells;
+  const auto jobs = expand(g, cells);
+  ASSERT_EQ(jobs.size(), 8u + 8u + 2u * 8u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const bool cu = cells[i].protocol == proto::Protocol::CU;
+    EXPECT_EQ(cells[i].cu_threshold.has_value(), cu) << i;
+    if (cu) {
+      EXPECT_EQ(jobs[i].machine.cu_threshold, *cells[i].cu_threshold);
+    }
+  }
+  EXPECT_EQ(*cells[16].cu_threshold, 2u);
+  EXPECT_EQ(*cells[24].cu_threshold, 8u);
+}
+
+TEST(Grid, SeedsMultiplyOnlyLockAndReductionCells) {
+  harness::Grid g;
+  g.protocols = {proto::Protocol::PU};
+  g.seeds = {7, 9};
+  std::vector<harness::GridCell> cells;
+  const auto jobs = expand(g, cells);
+  ASSERT_EQ(jobs.size(), 3u * 2u + 3u + 2u * 2u);
+  std::size_t seeded = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (cells[i].family == ConstructFamily::Barrier) {
+      EXPECT_FALSE(cells[i].seed.has_value());
+      continue;
+    }
+    ASSERT_TRUE(cells[i].seed.has_value());
+    EXPECT_EQ(*cells[i].seed, seeded++ % 2 == 0 ? 7u : 9u);
+    const std::uint64_t seed = cells[i].family == ConstructFamily::Lock
+                                   ? jobs[i].lock_params.seed
+                                   : jobs[i].reduction_params.seed;
+    EXPECT_EQ(seed, *cells[i].seed);
+  }
+}
+
+TEST(Grid, JobsCarryTheCellCoordinatesAndTheBaseMachine) {
+  harness::Grid g;
+  g.protocols = {proto::Protocol::CU};
+  g.families = {ConstructFamily::Reduction, ConstructFamily::Lock};
+  g.locks = {harness::LockKind::UcMcs};
+  g.reductions = {harness::ReductionKind::Parallel};
+  g.procs = {64};
+  g.scale = 0.5;
+  g.machine.obs.profile = true;
+  std::vector<harness::GridCell> cells;
+  const auto jobs = expand(g, cells);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(cells[0].family, ConstructFamily::Reduction);
+  EXPECT_EQ(cells[0].reduction, harness::ReductionKind::Parallel);
+  EXPECT_EQ(cells[1].lock, harness::LockKind::UcMcs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].family, cells[i].family);
+    EXPECT_EQ(jobs[i].machine.protocol, proto::Protocol::CU);
+    EXPECT_EQ(jobs[i].machine.nprocs, 64u);
+    EXPECT_TRUE(jobs[i].machine.obs.profile);
+  }
+  EXPECT_EQ(jobs[0].reduction, harness::ReductionKind::Parallel);
+  EXPECT_EQ(jobs[0].reduction_params.rounds, 2500u);
+  EXPECT_EQ(jobs[1].lock, harness::LockKind::UcMcs);
+  EXPECT_EQ(jobs[1].lock_params.total_acquires, 16000u);
 }
 
 } // namespace

@@ -2,20 +2,22 @@
 // protocol rankings.
 //
 //   ccadvise [--procs N] [--scale X] [--jobs N] [--out FILE]
-//            [--tie PCT] [--threshold PCT] [--progress] [--quiet]
+//            [--tie-pct PCT] [--threshold PCT] [--progress] [--quiet]
 //
-// Runs the paper's nine synchronization constructs (three locks, four
-// barriers, two reductions -- figures 8, 11, 14) under WI / PU / CU.
-// The WI run of each construct carries the sharing tracker
+// A fixed harness::Grid: the paper's nine synchronization constructs
+// (three locks, four barriers, two reductions -- figures 8, 11, 14) under
+// WI / PU / CU. The WI run of each construct carries the sharing tracker
 // (obs/sharing.hpp); its classifier output feeds the cost model, whose
 // recommended protocol is then compared against the *measured* best
 // static protocol for that construct (lowest simulated cycle count,
-// with anything within --tie percent of the minimum counted as tied for
-// best, default 2%). The advisor rides on WI because write-interval
+// with anything within --tie-pct percent of the minimum counted as tied
+// for best, default 2%). The advisor rides on WI because write-interval
 // reader-sets are protocol-invariant: the same program produces the
 // same advice no matter which protocol observed it, and validating that
 // advice against ground truth from all three protocols is exactly the
-// check this tool automates.
+// check this tool automates. Flags come from the shared table in
+// harness/cli (`--flag value` or `--flag=value`; --procs in [1, 64];
+// --help lists them).
 //
 // Output: an aligned table on stdout (per construct: measured Mcycles
 // under each protocol, the tie-set of measured-best protocols, the
@@ -26,175 +28,26 @@
 // of constructs (default 80); 1 = a cell failed or agreement fell below
 // the threshold; 2 = usage error.
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 using namespace ccsim;
+using namespace ccsim::harness;
 
 namespace {
 
-constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI,
-                                          proto::Protocol::PU,
+constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI, proto::Protocol::PU,
                                           proto::Protocol::CU};
 
 struct Options {
-  unsigned procs = 16;
-  double scale = 0.02;
-  unsigned jobs = 1;
-  std::string out;        ///< JSON report path ("" = table only)
+  Grid grid;
   double tie_pct = 2.0;   ///< cycles within this % of min count as tied-best
   double threshold = 80;  ///< minimum agreement % for exit code 0
-  bool progress = false;
-  bool quiet = false;
 };
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-void usage() {
-  std::printf(
-      "usage: ccadvise [--procs N] [--scale X] [--jobs N] [--out FILE]\n"
-      "                [--tie PCT] [--threshold PCT] [--progress] [--quiet]\n");
-}
-
-Options parse_args(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (take_value("--procs", argc, argv, i, v)) {
-      const unsigned long p = std::strtoul(v.c_str(), nullptr, 10);
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0')
-        throw std::invalid_argument("--jobs needs a non-negative integer");
-      o.jobs = static_cast<unsigned>(n);
-    } else if (take_value("--out", argc, argv, i, v)) {
-      o.out = v;
-    } else if (take_value("--tie", argc, argv, i, v)) {
-      o.tie_pct = std::atof(v.c_str());
-      if (o.tie_pct < 0.0 || o.tie_pct > 100.0)
-        throw std::invalid_argument("--tie must be in [0, 100]");
-    } else if (take_value("--threshold", argc, argv, i, v)) {
-      o.threshold = std::atof(v.c_str());
-      if (o.threshold < 0.0 || o.threshold > 100.0)
-        throw std::invalid_argument("--threshold must be in [0, 100]");
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      throw std::invalid_argument("unknown argument: " + a);
-    }
-  }
-  return o;
-}
-
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
-}
-
-/// One construct of the validation matrix (one row of the report).
-struct Construct {
-  std::string name;  ///< e.g. "lock/tk"
-  harness::ConstructFamily family;
-  harness::LockKind lock = harness::LockKind::Ticket;
-  harness::BarrierKind barrier = harness::BarrierKind::Central;
-  harness::ReductionKind reduction = harness::ReductionKind::Parallel;
-};
-
-std::vector<Construct> construct_matrix() {
-  std::vector<Construct> cs;
-  for (harness::LockKind k : {harness::LockKind::Ticket, harness::LockKind::Mcs,
-                              harness::LockKind::UcMcs}) {
-    Construct c;
-    c.name = "lock/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Lock;
-    c.lock = k;
-    cs.push_back(std::move(c));
-  }
-  for (harness::BarrierKind k :
-       {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-        harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
-    Construct c;
-    c.name = "barrier/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Barrier;
-    c.barrier = k;
-    cs.push_back(std::move(c));
-  }
-  for (harness::ReductionKind k :
-       {harness::ReductionKind::Parallel, harness::ReductionKind::Sequential}) {
-    Construct c;
-    c.name = "reduction/" + std::string(harness::to_string(k));
-    c.family = harness::ConstructFamily::Reduction;
-    c.reduction = k;
-    cs.push_back(std::move(c));
-  }
-  return cs;
-}
-
-/// Jobs in construct-major order: results[c * 3 + p] is construct c under
-/// kProtocols[p]. Only the WI run carries the sharing tracker -- that is
-/// the run whose report drives the advice, and leaving it off the PU/CU
-/// runs keeps their cycle measurements a pure ground truth.
-std::vector<harness::SweepJob> build_matrix(const Options& o,
-                                            const std::vector<Construct>& cs) {
-  std::vector<harness::SweepJob> jobs;
-  for (const Construct& c : cs) {
-    for (proto::Protocol proto : kProtocols) {
-      harness::SweepJob j;
-      j.name = c.name + "/" + std::string(proto::to_string(proto));
-      j.machine.protocol = proto;
-      j.machine.nprocs = o.procs;
-      j.machine.obs.sharing = proto == proto::Protocol::WI;
-      j.family = c.family;
-      j.lock = c.lock;
-      j.barrier = c.barrier;
-      j.reduction = c.reduction;
-      j.lock_params.total_acquires = scaled(o.scale, 32000);
-      j.barrier_params.episodes = scaled(o.scale, 5000);
-      j.reduction_params.rounds = scaled(o.scale, 5000);
-      jobs.push_back(std::move(j));
-    }
-  }
-  return jobs;
-}
 
 /// The advisor-vs-measurement verdict for one construct.
 struct Verdict {
@@ -208,24 +61,26 @@ struct Verdict {
   obs::SharingReport sharing;  ///< the WI run's report
 };
 
-Verdict judge(const Construct& c, const harness::SweepResult* runs,
+/// Judge construct `c` of `n` from the protocol-major results: its run
+/// under kProtocols[p] is results[p * n + c].
+Verdict judge(const std::vector<SweepResult>& results, std::size_t c, std::size_t n,
               double tie_pct) {
   Verdict v;
-  v.name = c.name;
-  for (int p = 0; p < 3; ++p) {
-    if (!runs[p].ok) {
-      v.error = runs[p].name + ": " + runs[p].error;
+  v.name = results[c].name.substr(0, results[c].name.rfind('/'));
+  for (std::size_t p = 0; p < 3; ++p) {
+    const SweepResult& r = results[p * n + c];
+    if (!r.ok) {
+      v.error = r.name + ": " + r.error;
       return v;
     }
-    v.cycles[p] = static_cast<double>(runs[p].run.cycles);
+    v.cycles[p] = static_cast<double>(r.run.cycles);
   }
   v.ok = true;
-  v.sharing = runs[0].run.sharing;
+  v.sharing = results[c].run.sharing;
   v.advised = v.sharing.recommended;
-  double min = v.cycles[0];
-  for (double cyc : v.cycles) min = std::min(min, cyc);
+  const double min = *std::min_element(std::begin(v.cycles), std::end(v.cycles));
   const double cutoff = min * (1.0 + tie_pct / 100.0);
-  for (int p = 0; p < 3; ++p)
+  for (std::size_t p = 0; p < 3; ++p)
     if (v.cycles[p] <= cutoff) v.best.push_back(kProtocols[p]);
   for (proto::Protocol b : v.best) v.agree |= b == v.advised;
   return v;
@@ -265,8 +120,8 @@ void write_report(std::ostream& os, const Options& o,
   w.begin_object();
   w.key("schema").value(std::uint64_t{1});
   w.key("tool").value("ccadvise");
-  w.key("procs").value(o.procs);
-  w.key("scale").value(o.scale);
+  w.key("procs").value(o.grid.procs.front());
+  w.key("scale").value(o.grid.scale);
   w.key("tie_pct").value(o.tie_pct);
   w.key("threshold_pct").value(o.threshold);
   w.key("constructs").begin_array();
@@ -290,7 +145,7 @@ void write_report(std::ostream& os, const Options& o,
     w.key("advised").value(std::string(proto::to_string(v.advised)));
     w.key("agree").value(v.agree);
     w.key("sharing").begin_object();
-    harness::write_sharing_fields(w, v.sharing);
+    write_sharing_fields(w, v.sharing);
     w.end_object();
     w.end_object();
   }
@@ -308,58 +163,52 @@ void write_report(std::ostream& os, const Options& o,
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Options o = parse_args(argc, argv);
-    const std::vector<Construct> cs = construct_matrix();
-    const std::vector<harness::SweepJob> jobs = build_matrix(o, cs);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
+  Options o;
+  Grid& g = o.grid;
+  g.barriers.assign(std::begin(kBarrierKinds), std::end(kBarrierKinds));
+  g.reductions.assign(std::begin(kReductionKinds), std::end(kReductionKinds));
+  ToolOptions run;
+  Flags flags{
+      {"--procs", "N", [&](const std::string& v) { g.procs = {parse_nodes(v)}; }},
+      {"--scale", "X", [&](const std::string& v) { g.scale = parse_scale(v); }},
+      {"--tie-pct", "PCT", [&](const std::string& v) { o.tie_pct = parse_percent(v); }},
+      {"--threshold", "PCT",
+       [&](const std::string& v) { o.threshold = parse_percent(v); }},
+  };
+  return tool_main(argc, argv, "ccadvise", std::move(flags), run, [&] {
+    std::vector<SweepJob> jobs = grid_jobs(g, [](const GridCell& c) {
+      return std::string(to_string(c.family)) + "/" + std::string(c.kind()) + "/" +
+             std::string(proto::to_string(c.protocol));
+    });
+    // Only the WI run carries the sharing tracker -- that is the run whose
+    // report drives the advice, and leaving it off the PU/CU runs keeps
+    // their cycle measurements a pure ground truth.
+    for (SweepJob& j : jobs)
+      j.machine.obs.sharing = j.machine.protocol == proto::Protocol::WI;
+    const std::vector<SweepResult> results = run_sweep(jobs, run.sweep());
+    const bool any_failed = print_failures(results) != 0;
 
+    const std::size_t n = results.size() / 3;
     std::vector<Verdict> verdicts;
     std::size_t agreed = 0;
-    bool any_failed = false;
-    for (std::size_t c = 0; c < cs.size(); ++c) {
-      Verdict v = judge(cs[c], &results[c * 3], o.tie_pct);
-      if (!v.ok) {
-        any_failed = true;
-        std::fprintf(stderr, "failed cell %s\n", v.error.c_str());
-      }
-      agreed += v.agree;
-      verdicts.push_back(std::move(v));
+    for (std::size_t c = 0; c < n; ++c) {
+      verdicts.push_back(judge(results, c, n, o.tie_pct));
+      agreed += verdicts.back().agree;
     }
     // A failed construct counts against agreement: the advisor cannot be
     // validated on a cell without ground truth.
     const double agreement =
-        verdicts.empty() ? 0.0
-                         : 100.0 * static_cast<double>(agreed) /
-                               static_cast<double>(verdicts.size());
+        n == 0 ? 0.0 : 100.0 * static_cast<double>(agreed) / static_cast<double>(n);
     const bool pass = !any_failed && agreement >= o.threshold;
 
-    if (!o.quiet) {
+    if (!run.quiet) {
       print_table(std::cout, verdicts);
       std::printf("agreement: %zu/%zu constructs (%.1f%%), threshold %.0f%% -> %s\n",
-                  agreed, verdicts.size(), agreement, o.threshold,
-                  pass ? "PASS" : "FAIL");
+                  agreed, n, agreement, o.threshold, pass ? "PASS" : "FAIL");
     }
-    if (!o.out.empty()) {
-      std::ofstream os(o.out);
-      if (!os) throw std::runtime_error("cannot open output file: " + o.out);
+    run.write("advisor report", [&](std::ostream& os) {
       write_report(os, o, verdicts, agreed, agreement, pass);
-      if (!o.quiet)
-        std::fprintf(stderr, "wrote advisor report to %s\n", o.out.c_str());
-    }
+    });
     return pass ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage();
-    return 2;
-  }
+  });
 }

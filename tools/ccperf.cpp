@@ -3,15 +3,18 @@
 //   ccperf [--procs N] [--scale X] [--jobs N] [--out FILE]
 //          [--progress] [--quiet]
 //
-// Runs the paper's three constructs (ticket lock, central barrier,
-// parallel reduction) under WI / PU / CU with host-performance telemetry
-// attached (obs/host_perf.hpp) -- nine cells that together exercise every
-// protocol engine and construct family -- and reports how fast the *host*
-// executes the simulator: simulated Mcycles/sec, events/sec, event-queue
-// depth statistics, and where host time goes (event loop vs protocol
-// handlers vs network routing vs obs hooks). This is the report to run
-// before and after a simulator-core optimization; bench_compare gates the
-// same throughput series continuously via run_trajectory --host-metrics.
+// A fixed harness::Grid: the paper's three constructs (ticket lock,
+// central barrier, parallel reduction) under WI / PU / CU with
+// host-performance telemetry attached (obs/host_perf.hpp) -- nine cells
+// that together exercise every protocol engine and construct family. It
+// reports how fast the *host* executes the simulator: simulated
+// Mcycles/sec, events/sec, event-queue depth statistics, and where host
+// time goes (event loop vs protocol handlers vs network routing vs obs
+// hooks). This is the report to run before and after a simulator-core
+// optimization; bench_compare gates the same throughput series
+// continuously via run_trajectory --host-metrics. Flags come from the
+// shared table in harness/cli (`--flag value` or `--flag=value`; --procs
+// in [1, 64]; --help lists them).
 //
 // Output: an aligned table on stdout (one row per cell plus a merged
 // TOTAL row) and, with --out, a JSON report (schema in docs/schema.md)
@@ -21,133 +24,18 @@
 // nonzero throughput; 1 = a cell failed or timed so fast that throughput
 // rounded to zero; 2 = usage error.
 #include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 using namespace ccsim;
+using namespace ccsim::harness;
 
 namespace {
 
-struct Options {
-  unsigned procs = 16;
-  double scale = 0.02;
-  unsigned jobs = 1;
-  std::string out;  ///< JSON report path ("" = table only)
-  bool progress = false;
-  bool quiet = false;
-};
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-void usage() {
-  std::printf(
-      "usage: ccperf [--procs N] [--scale X] [--jobs N] [--out FILE]\n"
-      "              [--progress] [--quiet]\n");
-}
-
-Options parse_args(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (take_value("--procs", argc, argv, i, v)) {
-      const unsigned long p = std::strtoul(v.c_str(), nullptr, 10);
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0')
-        throw std::invalid_argument("--jobs needs a non-negative integer");
-      o.jobs = static_cast<unsigned>(n);
-    } else if (take_value("--out", argc, argv, i, v)) {
-      o.out = v;
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      throw std::invalid_argument("unknown argument: " + a);
-    }
-  }
-  return o;
-}
-
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
-}
-
-std::vector<harness::SweepJob> build_matrix(const Options& o) {
-  std::vector<harness::SweepJob> jobs;
-  for (proto::Protocol proto :
-       {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {
-    harness::MachineConfig cfg;
-    cfg.protocol = proto;
-    cfg.nprocs = o.procs;
-    cfg.obs.host_metrics = true;
-
-    harness::SweepJob lock;
-    lock.name = std::string(proto::to_string(proto)) + "/lock/tk";
-    lock.machine = cfg;
-    lock.family = harness::ConstructFamily::Lock;
-    lock.lock = harness::LockKind::Ticket;
-    lock.lock_params.total_acquires = scaled(o.scale, 32000);
-    jobs.push_back(std::move(lock));
-
-    harness::SweepJob barrier;
-    barrier.name = std::string(proto::to_string(proto)) + "/barrier/cb";
-    barrier.machine = cfg;
-    barrier.family = harness::ConstructFamily::Barrier;
-    barrier.barrier = harness::BarrierKind::Central;
-    barrier.barrier_params.episodes = scaled(o.scale, 5000);
-    jobs.push_back(std::move(barrier));
-
-    harness::SweepJob reduction;
-    reduction.name = std::string(proto::to_string(proto)) + "/reduction/pr";
-    reduction.machine = cfg;
-    reduction.family = harness::ConstructFamily::Reduction;
-    reduction.reduction = harness::ReductionKind::Parallel;
-    reduction.reduction_params.rounds = scaled(o.scale, 5000);
-    jobs.push_back(std::move(reduction));
-  }
-  return jobs;
-}
-
-void print_table(std::ostream& os,
-                 const std::vector<harness::SweepResult>& results,
+void print_table(std::ostream& os, const std::vector<SweepResult>& results,
                  const obs::HostPerfReport& total) {
   using stats::Table;
   Table t({{"cell", 16, true, ""},
@@ -171,7 +59,7 @@ void print_table(std::ostream& os,
                    "/" + Table::num(100.0 * h.share(obs::HostCat::Network), 0) +
                    "/" + Table::num(100.0 * h.share(obs::HostCat::ObsHooks), 0)});
   };
-  for (const harness::SweepResult& r : results) {
+  for (const SweepResult& r : results) {
     if (!r.ok) {
       t.add_row({r.name, "FAILED: " + r.error});
       continue;
@@ -182,26 +70,28 @@ void print_table(std::ostream& os,
   t.print(os);
 }
 
-void write_report(std::ostream& os, const Options& o,
-                  const std::vector<harness::SweepResult>& results,
+void write_report(std::ostream& os, const Grid& g,
+                  const std::vector<SweepResult>& results,
                   const obs::HostPerfReport& total) {
   stats::JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(std::uint64_t{1});
   w.key("tool").value("ccperf");
-  w.key("procs").value(o.procs);
-  w.key("scale").value(o.scale);
+  w.key("procs").value(g.procs.front());
+  w.key("scale").value(g.scale);
   w.key("cells").begin_array();
-  for (const harness::SweepResult& r : results) {
+  std::uint64_t ok = 0;
+  for (const SweepResult& r : results) {
+    ok += r.ok;
     w.begin_object();
     w.key("name").value(r.name);
     w.key("ok").value(r.ok);
     if (r.ok) {
       w.key("host").begin_object();
-      harness::write_host_fields(w, r.run.host);
+      write_host_fields(w, r.run.host);
       w.end_object();
     } else {
-      w.key("fail_kind").value(harness::to_string(r.fail));
+      w.key("fail_kind").value(to_string(r.fail));
       w.key("error").value(r.error);
     }
     w.end_object();
@@ -209,11 +99,9 @@ void write_report(std::ostream& os, const Options& o,
   w.end_array();
   w.key("summary").begin_object();
   w.key("cells").value(static_cast<std::uint64_t>(results.size()));
-  std::uint64_t ok = 0;
-  for (const harness::SweepResult& r : results) ok += r.ok;
   w.key("ok").value(ok);
   w.key("host").begin_object();
-  harness::write_host_fields(w, total);
+  write_host_fields(w, total);
   w.end_object();
   w.end_object();
   w.end_object();
@@ -223,49 +111,35 @@ void write_report(std::ostream& os, const Options& o,
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Options o = parse_args(argc, argv);
-    const std::vector<harness::SweepJob> jobs = build_matrix(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
-
+  Grid g;
+  g.locks = {LockKind::Ticket};
+  g.barriers = {BarrierKind::Central};
+  g.reductions = {ReductionKind::Parallel};
+  g.machine.obs.host_metrics = true;
+  ToolOptions o;
+  Flags flags{
+      {"--procs", "N", [&](const std::string& v) { g.procs = {parse_nodes(v)}; }},
+      {"--scale", "X", [&](const std::string& v) { g.scale = parse_scale(v); }},
+  };
+  return tool_main(argc, argv, "ccperf", std::move(flags), o, [&] {
+    const std::vector<SweepResult> results =
+        run_sweep(grid_jobs(g,
+                            [](const GridCell& c) {
+                              return std::string(proto::to_string(c.protocol)) + "/" +
+                                     std::string(to_string(c.family)) + "/" +
+                                     std::string(c.tag());
+                            }),
+                  o.sweep());
+    const bool any_failed = print_failures(results) != 0;
     obs::HostPerfReport total;
-    bool any_failed = false;
-    for (const harness::SweepResult& r : results) {
-      if (!r.ok) {
-        any_failed = true;
-        std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                     r.error.c_str());
-        continue;
-      }
-      total.merge(r.run.host);
-    }
-
+    for (const SweepResult& r : results)
+      if (r.ok) total.merge(r.run.host);
     if (!o.quiet) print_table(std::cout, results, total);
-    if (!o.out.empty()) {
-      std::ofstream os(o.out);
-      if (!os) throw std::runtime_error("cannot open output file: " + o.out);
-      write_report(os, o, results, total);
-      if (!o.quiet)
-        std::fprintf(stderr, "wrote host-profile report to %s\n", o.out.c_str());
-    }
-    if (any_failed) return 1;
+    o.write("host-profile report",
+            [&](std::ostream& os) { write_report(os, g, results, total); });
     // A throughput of zero means the collector never saw host time pass --
     // a broken clock or a broken hook path; fail loudly.
-    if (!(total.cycles_per_sec() > 0.0) || !(total.events_per_sec() > 0.0))
-      return 1;
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage();
-    return 2;
-  }
+    const bool measured = total.cycles_per_sec() > 0.0 && total.events_per_sec() > 0.0;
+    return !any_failed && measured ? 0 : 1;
+  });
 }

@@ -6,10 +6,12 @@
 //            [--no-check] [--inject-hang] [--host-metrics] [--out FILE]
 //            [--progress] [--quiet]
 //
-// Fans a grid of (protocol x seed x network-jitter) stress cells through
-// the parallel sweep engine. Every cell runs the segment-structured random
-// workload of harness/stress.hpp -- randomized read/write/atomic/lock mixes
-// separated by randomly chosen barriers and reduction rounds -- with the
+// Flags come from the shared table in harness/cli (`--flag value` or
+// `--flag=value`; --procs in [1, 64]; --help lists them). Fans a grid of
+// (protocol x network-jitter x seed) stress cells through the parallel
+// sweep engine. Every cell runs the segment-structured random workload of
+// harness/stress.hpp -- randomized read/write/atomic/lock mixes separated
+// by randomly chosen barriers and reduction rounds -- with the
 // coherence-invariant checker and the deadlock/livelock watchdog enabled,
 // under deterministic network-delivery jitter. The whole grid is a pure
 // function of its seeds: the same invocation produces a byte-identical
@@ -28,172 +30,36 @@
 // 2 = usage error; 3 = a cell tripped the deadlock/livelock watchdog;
 // 4 = a cell violated a coherence invariant. Invariant beats deadlock
 // beats other when cells disagree.
-#include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/stress.hpp"
 #include "harness/sweep.hpp"
 #include "sim/rng.hpp"
 #include "stats/json.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 using namespace ccsim;
+using namespace ccsim::harness;
 
 namespace {
 
 struct Options {
-  std::vector<proto::Protocol> protocols{proto::Protocol::WI,
-                                         proto::Protocol::PU,
+  std::vector<proto::Protocol> protocols{proto::Protocol::WI, proto::Protocol::PU,
                                          proto::Protocol::CU};
   std::vector<std::uint64_t> seeds;  ///< filled from --seeds N if empty
   unsigned seed_count = 12;
   std::vector<Cycle> jitters{0, 3, 17};
   unsigned procs = 16;
-  unsigned segments = 6;
-  unsigned ops = 48;
-  unsigned blocks = 16;
+  StressParams stress;
   Cycle watchdog = 2'000'000;
   Cycle max_cycles = 50'000'000;
-  unsigned jobs = 1;
   bool check = true;
   bool inject_hang = false;
   bool host_metrics = false;
-  bool progress = false;
-  bool quiet = false;
-  std::string out = "-";
 };
 
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("empty list value");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  // strtoull silently wraps "-1" to 2^64-1; reject signs explicitly.
-  if (end == s.c_str() || *end != '\0' || s.find_first_of("+-") != std::string::npos)
-    throw std::invalid_argument(std::string(what) + ": bad number \"" + s + '"');
-  return v;
-}
-
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("--protocols: unknown protocol \"" + s +
-                              "\" (WI, PU, CU)");
-}
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-void usage() {
-  std::printf(
-      "usage: ccstress [--protocols WI,PU,CU] [--seeds N | --seed-list "
-      "a,b,...]\n"
-      "                [--jitters 0,3,17] [--procs N] [--segments N] [--ops "
-      "N]\n"
-      "                [--blocks N] [--watchdog CYCLES] [--max-cycles N]\n"
-      "                [--jobs N] [--no-check] [--inject-hang] [--host-metrics]\n"
-      "                [--out FILE] [--progress] [--quiet]\n"
-      "exit codes: 0 ok, 1 other failure, 2 usage, 3 watchdog/deadlock,\n"
-      "            4 invariant violation\n");
-}
-
-Options parse_args(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (take_value("--protocols", argc, argv, i, v)) {
-      o.protocols.clear();
-      for (const std::string& s : split(v)) o.protocols.push_back(parse_protocol(s));
-    } else if (take_value("--seeds", argc, argv, i, v)) {
-      o.seed_count = static_cast<unsigned>(parse_u64(v, "--seeds"));
-      if (o.seed_count == 0) throw std::invalid_argument("--seeds must be > 0");
-    } else if (take_value("--seed-list", argc, argv, i, v)) {
-      o.seeds.clear();
-      for (const std::string& s : split(v))
-        o.seeds.push_back(parse_u64(s, "--seed-list"));
-    } else if (take_value("--jitters", argc, argv, i, v)) {
-      o.jitters.clear();
-      for (const std::string& s : split(v))
-        o.jitters.push_back(parse_u64(s, "--jitters"));
-    } else if (take_value("--procs", argc, argv, i, v)) {
-      const std::uint64_t p = parse_u64(v, "--procs");
-      if (p == 0 || p > 32) throw std::invalid_argument("--procs must be in [1, 32]");
-      o.procs = static_cast<unsigned>(p);
-    } else if (take_value("--segments", argc, argv, i, v)) {
-      o.segments = static_cast<unsigned>(parse_u64(v, "--segments"));
-      if (o.segments == 0) throw std::invalid_argument("--segments must be > 0");
-    } else if (take_value("--ops", argc, argv, i, v)) {
-      o.ops = static_cast<unsigned>(parse_u64(v, "--ops"));
-      if (o.ops == 0) throw std::invalid_argument("--ops must be > 0");
-    } else if (take_value("--blocks", argc, argv, i, v)) {
-      o.blocks = static_cast<unsigned>(parse_u64(v, "--blocks"));
-      if (o.blocks == 0) throw std::invalid_argument("--blocks must be > 0");
-    } else if (take_value("--watchdog", argc, argv, i, v)) {
-      o.watchdog = parse_u64(v, "--watchdog");
-    } else if (take_value("--max-cycles", argc, argv, i, v)) {
-      o.max_cycles = parse_u64(v, "--max-cycles");
-      if (o.max_cycles == 0) throw std::invalid_argument("--max-cycles must be > 0");
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      o.jobs = static_cast<unsigned>(parse_u64(v, "--jobs"));
-    } else if (a == "--no-check") {
-      o.check = false;
-    } else if (a == "--inject-hang") {
-      o.inject_hang = true;
-    } else if (a == "--host-metrics") {
-      o.host_metrics = true;
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (take_value("--out", argc, argv, i, v)) {
-      o.out = v;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      throw std::invalid_argument("unknown argument: " + a);
-    }
-  }
-  if (o.seeds.empty())
-    for (unsigned s = 1; s <= o.seed_count; ++s) o.seeds.push_back(s);
-  return o;
-}
-
-harness::MachineConfig stress_machine(const Options& o, proto::Protocol proto,
-                                      std::uint64_t seed, Cycle jitter) {
-  harness::MachineConfig cfg;
+MachineConfig stress_machine(const Options& o, proto::Protocol proto,
+                             std::uint64_t seed, Cycle jitter) {
+  MachineConfig cfg;
   cfg.protocol = proto;
   cfg.nprocs = o.procs;
   cfg.max_cycles = o.max_cycles;
@@ -207,23 +73,18 @@ harness::MachineConfig stress_machine(const Options& o, proto::Protocol proto,
   return cfg;
 }
 
-std::vector<harness::SweepJob> build_grid(const Options& o) {
-  std::vector<harness::SweepJob> jobs;
+std::vector<SweepJob> build_grid(const Options& o) {
+  std::vector<SweepJob> jobs;
   for (proto::Protocol proto : o.protocols) {
     for (Cycle jitter : o.jitters) {
       for (std::uint64_t seed : o.seeds) {
-        harness::SweepJob j;
+        SweepJob j;
         j.name = "stress/" + std::string(proto::to_string(proto)) + "/j" +
                  std::to_string(jitter) + "/s" + std::to_string(seed);
         j.machine = stress_machine(o, proto, seed, jitter);
-        harness::StressParams sp;
+        StressParams sp = o.stress;
         sp.seed = seed;
-        sp.segments = o.segments;
-        sp.ops_per_segment = o.ops;
-        sp.data_blocks = o.blocks;
-        j.runner = [sp](const harness::MachineConfig& cfg) {
-          return harness::run_stress_cell(cfg, sp);
-        };
+        j.runner = [sp](const MachineConfig& cfg) { return run_stress_cell(cfg, sp); };
         jobs.push_back(std::move(j));
       }
     }
@@ -231,18 +92,18 @@ std::vector<harness::SweepJob> build_grid(const Options& o) {
   if (o.inject_hang) {
     // A cell that can never finish: processor 0 spins on a word nobody
     // writes. Exercises the watchdog/deadlock reporting path end to end.
-    harness::SweepJob j;
+    SweepJob j;
     j.name = "stress/inject-hang";
     j.machine = stress_machine(o, o.protocols.front(), 1, 0);
-    j.runner = [](const harness::MachineConfig& cfg) {
-      harness::Machine m(cfg);
+    j.runner = [](const MachineConfig& cfg) {
+      Machine m(cfg);
       const Addr a = m.alloc().allocate_on(0, mem::kWordSize, "hang.word");
-      std::vector<harness::Machine::Program> ps;
+      std::vector<Machine::Program> ps;
       ps.push_back([a](cpu::Cpu& c) -> sim::Task {
         co_await c.spin_until(a, [](std::uint64_t v) { return v == 1; });
       });
       m.run(ps);
-      return harness::RunResult{};
+      return RunResult{};
     };
     jobs.push_back(std::move(j));
   }
@@ -250,7 +111,7 @@ std::vector<harness::SweepJob> build_grid(const Options& o) {
 }
 
 void write_doc(std::ostream& os, const Options& o,
-               const std::vector<harness::SweepResult>& results) {
+               const std::vector<SweepResult>& results) {
   stats::JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(std::uint64_t{1});
@@ -267,40 +128,29 @@ void write_doc(std::ostream& os, const Options& o,
   for (Cycle j : o.jitters) w.value(j);
   w.end_array();
   w.key("procs").value(o.procs);
-  w.key("segments").value(o.segments);
-  w.key("ops_per_segment").value(o.ops);
-  w.key("data_blocks").value(o.blocks);
+  w.key("segments").value(o.stress.segments);
+  w.key("ops_per_segment").value(o.stress.ops_per_segment);
+  w.key("data_blocks").value(o.stress.data_blocks);
   w.key("watchdog_stall_cycles").value(o.watchdog);
   w.key("check_invariants").value(o.check);
   w.key("cells").value(static_cast<std::uint64_t>(results.size()));
   w.end_object();
 
   w.key("cells").begin_array();
-  for (const harness::SweepResult& r : results) {
-    w.begin_object();
-    w.key("name").value(r.name);
-    w.key("ok").value(r.ok);
-    if (r.ok) {
-      harness::write_run_fields(w, r.run);
-    } else {
-      w.key("fail_kind").value(harness::to_string(r.fail));
-      w.key("error").value(r.error);
-    }
-    w.end_object();
-  }
+  for (const SweepResult& r : results) write_cell_json(w, r);
   w.end_array();
 
   std::size_t ok = 0, deadlocks = 0, invariants = 0, other = 0;
   std::uint64_t total_checks = 0;
-  for (const harness::SweepResult& r : results) {
+  for (const SweepResult& r : results) {
     if (r.ok) {
       ++ok;
       total_checks += r.run.invariant_checks;
       continue;
     }
     switch (r.fail) {
-      case harness::SweepResult::FailKind::Deadlock: ++deadlocks; break;
-      case harness::SweepResult::FailKind::Invariant: ++invariants; break;
+      case SweepResult::FailKind::Deadlock: ++deadlocks; break;
+      case SweepResult::FailKind::Invariant: ++invariants; break;
       default: ++other; break;
     }
   }
@@ -317,53 +167,52 @@ void write_doc(std::ostream& os, const Options& o,
   os << '\n';
 }
 
+/// 4 = invariant violation, 3 = deadlock, 1 = other failure, 0 = clean.
+int exit_code(const std::vector<SweepResult>& results) {
+  int code = 0;
+  for (const SweepResult& r : results) {
+    switch (r.fail) {
+      case SweepResult::FailKind::None: break;
+      case SweepResult::FailKind::Invariant: code = 4; break;
+      case SweepResult::FailKind::Deadlock: code = std::max(code, 3); break;
+      case SweepResult::FailKind::Other: code = std::max(code, 1); break;
+    }
+  }
+  return code;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Options o = parse_args(argc, argv);
-    const std::vector<harness::SweepJob> jobs = build_grid(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
-
-    bool any_deadlock = false, any_invariant = false, any_other = false;
-    for (const harness::SweepResult& r : results) {
-      if (r.ok) continue;
-      std::fprintf(stderr, "failed cell %s [%s]:\n%s\n", r.name.c_str(),
-                   std::string(harness::to_string(r.fail)).c_str(),
-                   r.error.c_str());
-      switch (r.fail) {
-        case harness::SweepResult::FailKind::Deadlock: any_deadlock = true; break;
-        case harness::SweepResult::FailKind::Invariant: any_invariant = true; break;
-        default: any_other = true; break;
-      }
-    }
-
-    if (o.out == "-") {
-      write_doc(std::cout, o, results);
-    } else {
-      std::ofstream os(o.out);
-      if (!os) throw std::runtime_error("cannot open output file: " + o.out);
-      write_doc(os, o, results);
-      if (!o.quiet)
-        std::fprintf(stderr, "wrote %zu cell(s) to %s\n", results.size(),
-                     o.out.c_str());
-    }
-    if (any_invariant) return 4;
-    if (any_deadlock) return 3;
-    if (any_other) return 1;
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage();
-    return 2;
-  }
+  Options o;
+  ToolOptions run{.out = "-"};
+  const auto count = [](std::string_view v) { return positive(parse_unsigned(v)); };
+  Flags flags{
+      {"--protocols", "WI,PU,CU",
+       [&](const std::string& v) { o.protocols = parse_list(v, parse_protocol); }},
+      {"--seeds", "N", [&](const std::string& v) { o.seed_count = count(v); }},
+      {"--seed-list", "a,b,...",
+       [&](const std::string& v) { o.seeds = parse_list(v, parse_u64); }},
+      {"--jitters", "a,b,...",
+       [&](const std::string& v) { o.jitters = parse_list(v, parse_u64); }},
+      {"--procs", "N", [&](const std::string& v) { o.procs = parse_nodes(v); }},
+      {"--segments", "N", [&](const std::string& v) { o.stress.segments = count(v); }},
+      {"--ops", "N", [&](const std::string& v) { o.stress.ops_per_segment = count(v); }},
+      {"--blocks", "N", [&](const std::string& v) { o.stress.data_blocks = count(v); }},
+      {"--watchdog", "CYCLES", [&](const std::string& v) { o.watchdog = parse_u64(v); }},
+      {"--max-cycles", "N",
+       [&](const std::string& v) { o.max_cycles = positive(parse_u64(v)); }},
+      {"--no-check", "", [&](const std::string&) { o.check = false; }},
+      {"--inject-hang", "", [&](const std::string&) { o.inject_hang = true; }},
+      {"--host-metrics", "", [&](const std::string&) { o.host_metrics = true; }},
+  };
+  return tool_main(argc, argv, "ccstress", std::move(flags), run, [&] {
+    if (o.seeds.empty())
+      for (unsigned s = 1; s <= o.seed_count; ++s) o.seeds.push_back(s);
+    const std::vector<SweepResult> results = run_sweep(build_grid(o), run.sweep());
+    print_failures(results);
+    run.write(std::to_string(results.size()) + " cell(s)",
+              [&](std::ostream& os) { write_doc(os, o, results); });
+    return exit_code(results);
+  });
 }

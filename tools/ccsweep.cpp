@@ -4,17 +4,20 @@
 //   ccsweep [--protocols WI,PU,CU] [--constructs lock,barrier,reduction]
 //           [--locks tk,MCS,uc] [--barriers cb,db,tb,ct]
 //           [--reductions sr,pr] [--procs 8,16,32] [--cu-threshold 2,4,8]
-//           [--seeds 0x5eed,7] [--scale=X | --paper] [--jobs N]
+//           [--seeds 0x5eed,7] [--scale X | --paper] [--jobs N]
 //           [--profile] [--host-metrics] [--max-cycles N] [--out FILE]
 //           [--progress] [--quiet]
 //
-// Every flag accepts `--flag value` and `--flag=value`. The grid is the
-// cross product of the lists; --cu-threshold multiplies only CU cells
-// (the threshold is inert under WI/PU and would duplicate cells), and
-// --seeds multiplies only lock and reduction cells (barriers take no
-// seed). --jobs N runs cells on N worker threads (0 = one per hardware
-// thread); output is byte-identical for every N because cells are
-// independent deterministic simulations emitted in submission order.
+// Flags come from the shared table in harness/cli (`--flag value` or
+// `--flag=value`; --procs items in [1, 64]; --help lists them). The grid
+// is harness::Grid expanded by grid_jobs: the cross product of the lists,
+// where --cu-threshold multiplies only CU cells (the threshold is inert
+// under WI/PU and would duplicate cells) and --seeds multiplies only lock
+// and reduction cells (barriers take no seed). Defaults: barriers
+// cb,db,tb and reductions sr,pr at P=16, scale 0.02. --jobs N runs cells
+// on N worker threads (0 = one per hardware thread); output is
+// byte-identical for every N because cells are independent deterministic
+// simulations emitted in submission order.
 //
 // Output (stdout by default): a schema-versioned document with one
 // object per cell -- the same run-object schema as the benches' --json
@@ -29,394 +32,57 @@
 // run, so documents with it are not byte-comparable. --progress paints a
 // live cells-done/rate/ETA line on stderr (only when stderr is a TTY;
 // --quiet suppresses it and the final summary line).
-#include "harness/obs_session.hpp"
-#include "harness/progress.hpp"
 #include "harness/sweep.hpp"
 #include "stats/json.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <limits>
-#include <optional>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 using namespace ccsim;
+using namespace ccsim::harness;
 
 namespace {
 
-struct Options {
-  std::vector<proto::Protocol> protocols{proto::Protocol::WI,
-                                         proto::Protocol::PU,
-                                         proto::Protocol::CU};
-  std::vector<harness::ConstructFamily> constructs{
-      harness::ConstructFamily::Lock, harness::ConstructFamily::Barrier,
-      harness::ConstructFamily::Reduction};
-  std::vector<harness::LockKind> locks{harness::LockKind::Ticket,
-                                       harness::LockKind::Mcs,
-                                       harness::LockKind::UcMcs};
-  std::vector<harness::BarrierKind> barriers{
-      harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-      harness::BarrierKind::Tree};
-  std::vector<harness::ReductionKind> reductions{
-      harness::ReductionKind::Sequential, harness::ReductionKind::Parallel};
-  std::vector<unsigned> procs{16};
-  std::vector<unsigned> cu_thresholds{4};
-  std::vector<std::uint64_t> seeds;  ///< empty = the construct defaults
-  double scale = 0.02;
-  unsigned jobs = 1;
-  bool profile = false;
-  bool host_metrics = false;
-  bool progress = false;
-  bool quiet = false;
-  Cycle max_cycles = 0;  ///< 0 = MachineConfig's default backstop
-  std::string out = "-";
-};
-
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  if (out.empty()) throw std::invalid_argument("empty list value");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  // strtoull silently wraps "-1" to 2^64-1; reject signs explicitly.
-  if (end == s.c_str() || *end != '\0' || s.find_first_of("+-") != std::string::npos)
-    throw std::invalid_argument(std::string(what) + ": bad number \"" + s + '"');
-  return v;
-}
-
-proto::Protocol parse_protocol(const std::string& s) {
-  if (s == "WI" || s == "wi") return proto::Protocol::WI;
-  if (s == "PU" || s == "pu") return proto::Protocol::PU;
-  if (s == "CU" || s == "cu") return proto::Protocol::CU;
-  throw std::invalid_argument("--protocols: unknown protocol \"" + s +
-                              "\" (WI, PU, CU)");
-}
-
-harness::ConstructFamily parse_family(const std::string& s) {
-  if (s == "lock") return harness::ConstructFamily::Lock;
-  if (s == "barrier") return harness::ConstructFamily::Barrier;
-  if (s == "reduction") return harness::ConstructFamily::Reduction;
-  throw std::invalid_argument("--constructs: unknown construct \"" + s +
-                              "\" (lock, barrier, reduction)");
-}
-
-harness::LockKind parse_lock(const std::string& s) {
-  if (s == "tk") return harness::LockKind::Ticket;
-  if (s == "MCS" || s == "mcs") return harness::LockKind::Mcs;
-  if (s == "uc") return harness::LockKind::UcMcs;
-  throw std::invalid_argument("--locks: unknown lock \"" + s +
-                              "\" (tk, MCS, uc)");
-}
-
-harness::BarrierKind parse_barrier(const std::string& s) {
-  if (s == "cb") return harness::BarrierKind::Central;
-  if (s == "db") return harness::BarrierKind::Dissemination;
-  if (s == "tb") return harness::BarrierKind::Tree;
-  if (s == "ct") return harness::BarrierKind::CombiningTree;
-  throw std::invalid_argument("--barriers: unknown barrier \"" + s +
-                              "\" (cb, db, tb, ct)");
-}
-
-harness::ReductionKind parse_reduction(const std::string& s) {
-  if (s == "sr") return harness::ReductionKind::Sequential;
-  if (s == "pr") return harness::ReductionKind::Parallel;
-  throw std::invalid_argument("--reductions: unknown reduction \"" + s +
-                              "\" (sr, pr)");
-}
-
-std::string_view lock_tag(harness::LockKind k) {
-  switch (k) {
-    case harness::LockKind::Ticket: return "tk";
-    case harness::LockKind::Mcs: return "MCS";
-    case harness::LockKind::UcMcs: return "uc";
-  }
-  return "?";
-}
-std::string_view barrier_tag(harness::BarrierKind k) {
-  switch (k) {
-    case harness::BarrierKind::Central: return "cb";
-    case harness::BarrierKind::Dissemination: return "db";
-    case harness::BarrierKind::Tree: return "tb";
-    case harness::BarrierKind::CombiningTree: return "ct";
-  }
-  return "?";
-}
-std::string_view reduction_tag(harness::ReductionKind k) {
-  return k == harness::ReductionKind::Parallel ? "pr" : "sr";
-}
-
-/// Match `--flag=value` or `--flag value`.
-bool take_value(const std::string& flag, int argc, char** argv, int& i,
-                std::string& value) {
-  const std::string a = argv[i];
-  if (a.rfind(flag + "=", 0) == 0) {
-    value = a.substr(flag.size() + 1);
-    return true;
-  }
-  if (a == flag) {
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-void usage() {
-  std::printf(
-      "usage: ccsweep [--protocols WI,PU,CU] [--constructs "
-      "lock,barrier,reduction]\n"
-      "               [--locks tk,MCS,uc] [--barriers cb,db,tb,ct]\n"
-      "               [--reductions sr,pr] [--procs a,b,...]\n"
-      "               [--cu-threshold a,b,...] [--seeds a,b,...]\n"
-      "               [--scale=X | --paper] [--jobs N] [--profile]\n"
-      "               [--host-metrics] [--max-cycles N] [--out FILE]\n"
-      "               [--progress] [--quiet]\n");
-}
-
-Options parse_args(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    if (take_value("--protocols", argc, argv, i, v)) {
-      o.protocols.clear();
-      for (const std::string& s : split(v)) o.protocols.push_back(parse_protocol(s));
-    } else if (take_value("--constructs", argc, argv, i, v)) {
-      o.constructs.clear();
-      for (const std::string& s : split(v)) o.constructs.push_back(parse_family(s));
-    } else if (take_value("--locks", argc, argv, i, v)) {
-      o.locks.clear();
-      for (const std::string& s : split(v)) o.locks.push_back(parse_lock(s));
-    } else if (take_value("--barriers", argc, argv, i, v)) {
-      o.barriers.clear();
-      for (const std::string& s : split(v)) o.barriers.push_back(parse_barrier(s));
-    } else if (take_value("--reductions", argc, argv, i, v)) {
-      o.reductions.clear();
-      for (const std::string& s : split(v))
-        o.reductions.push_back(parse_reduction(s));
-    } else if (take_value("--procs", argc, argv, i, v)) {
-      o.procs.clear();
-      for (const std::string& s : split(v)) {
-        const std::uint64_t p = parse_u64(s, "--procs");
-        if (p == 0 || p > 32)
-          throw std::invalid_argument("--procs must be in [1, 32]");
-        o.procs.push_back(static_cast<unsigned>(p));
-      }
-    } else if (take_value("--cu-threshold", argc, argv, i, v)) {
-      o.cu_thresholds.clear();
-      for (const std::string& s : split(v)) {
-        const std::uint64_t t = parse_u64(s, "--cu-threshold");
-        if (t == 0) throw std::invalid_argument("--cu-threshold must be > 0");
-        o.cu_thresholds.push_back(static_cast<unsigned>(t));
-      }
-    } else if (take_value("--seeds", argc, argv, i, v)) {
-      o.seeds.clear();
-      for (const std::string& s : split(v)) o.seeds.push_back(parse_u64(s, "--seeds"));
-    } else if (take_value("--scale", argc, argv, i, v)) {
-      o.scale = std::atof(v.c_str());
-      if (o.scale <= 0.0 || o.scale > 1.0)
-        throw std::invalid_argument("--scale must be in (0, 1]");
-    } else if (a == "--paper") {
-      o.scale = 1.0;
-    } else if (take_value("--jobs", argc, argv, i, v)) {
-      o.jobs = static_cast<unsigned>(parse_u64(v, "--jobs"));
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a == "--host-metrics") {
-      o.host_metrics = true;
-    } else if (a == "--progress") {
-      o.progress = true;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (take_value("--max-cycles", argc, argv, i, v)) {
-      o.max_cycles = parse_u64(v, "--max-cycles");
-      if (o.max_cycles == 0)
-        throw std::invalid_argument("--max-cycles must be > 0");
-    } else if (take_value("--out", argc, argv, i, v)) {
-      o.out = v;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      throw std::invalid_argument("unknown argument: " + a);
-    }
-  }
-  return o;
-}
-
-std::uint64_t scaled(double scale, std::uint64_t paper_count) {
-  const auto n =
-      static_cast<std::uint64_t>(static_cast<double>(paper_count) * scale);
-  return n < 32 ? 32 : n;
-}
-
-harness::MachineConfig machine(const Options& o, proto::Protocol proto,
-                               unsigned p, unsigned cu_threshold) {
-  harness::MachineConfig cfg;
-  cfg.protocol = proto;
-  cfg.nprocs = p;
-  cfg.cu_threshold = cu_threshold;
-  cfg.obs.profile = o.profile;
-  cfg.obs.host_metrics = o.host_metrics;
-  if (o.max_cycles != 0) cfg.max_cycles = o.max_cycles;
-  return cfg;
-}
-
-std::string cell_name(harness::ConstructFamily fam, std::string_view tag,
-                      proto::Protocol proto, unsigned p,
-                      std::optional<unsigned> threshold,
-                      std::optional<std::uint64_t> seed) {
-  std::string s{harness::to_string(fam)};
-  s += '/';
-  s += tag;
-  s += '/';
-  s += proto::to_string(proto);
-  if (threshold) s += "/t" + std::to_string(*threshold);
-  s += "/p" + std::to_string(p);
-  if (seed) s += "/s" + std::to_string(*seed);
-  return s;
-}
-
-std::vector<harness::SweepJob> build_grid(const Options& o) {
-  // Seed lists multiply only the constructs that consume a seed; an empty
-  // list means "one cell with the construct's default seed".
-  std::vector<std::optional<std::uint64_t>> seeds;
-  if (o.seeds.empty())
-    seeds.push_back(std::nullopt);
-  else
-    for (std::uint64_t s : o.seeds) seeds.push_back(s);
-
-  std::vector<harness::SweepJob> jobs;
-  for (proto::Protocol proto : o.protocols) {
-    // The CU threshold is inert under WI/PU; sweeping it there would
-    // emit duplicate cells under different names.
-    std::vector<std::optional<unsigned>> thresholds;
-    if (proto == proto::Protocol::CU)
-      for (unsigned t : o.cu_thresholds) thresholds.push_back(t);
-    else
-      thresholds.push_back(std::nullopt);
-
-    for (const auto& threshold : thresholds) {
-      for (unsigned p : o.procs) {
-        for (harness::ConstructFamily fam : o.constructs) {
-          switch (fam) {
-            case harness::ConstructFamily::Lock:
-              for (harness::LockKind k : o.locks) {
-                for (const auto& seed : seeds) {
-                  harness::SweepJob j;
-                  j.name = cell_name(fam, lock_tag(k), proto, p, threshold, seed);
-                  j.machine = machine(o, proto, p, threshold.value_or(4));
-                  j.family = fam;
-                  j.lock = k;
-                  j.lock_params.total_acquires = scaled(o.scale, 32000);
-                  if (seed) j.lock_params.seed = *seed;
-                  jobs.push_back(std::move(j));
-                }
-              }
-              break;
-            case harness::ConstructFamily::Barrier:
-              for (harness::BarrierKind k : o.barriers) {
-                harness::SweepJob j;
-                j.name =
-                    cell_name(fam, barrier_tag(k), proto, p, threshold, {});
-                j.machine = machine(o, proto, p, threshold.value_or(4));
-                j.family = fam;
-                j.barrier = k;
-                j.barrier_params.episodes = scaled(o.scale, 5000);
-                jobs.push_back(std::move(j));
-              }
-              break;
-            case harness::ConstructFamily::Reduction:
-              for (harness::ReductionKind k : o.reductions) {
-                for (const auto& seed : seeds) {
-                  harness::SweepJob j;
-                  j.name =
-                      cell_name(fam, reduction_tag(k), proto, p, threshold, seed);
-                  j.machine = machine(o, proto, p, threshold.value_or(4));
-                  j.family = fam;
-                  j.reduction = k;
-                  j.reduction_params.rounds = scaled(o.scale, 5000);
-                  if (seed) j.reduction_params.seed = *seed;
-                  jobs.push_back(std::move(j));
-                }
-              }
-              break;
-          }
-        }
-      }
-    }
-  }
-  return jobs;
-}
-
-void write_doc(std::ostream& os, const Options& o,
-               const std::vector<harness::SweepJob>& jobs,
-               const std::vector<harness::SweepResult>& results) {
+void write_doc(std::ostream& os, const Grid& g, const std::vector<SweepJob>& jobs,
+               const std::vector<SweepResult>& results) {
   stats::JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(std::uint64_t{1});
   w.key("tool").value("ccsweep");
-  w.key("scale").value(o.scale);
+  w.key("scale").value(g.scale);
 
   w.key("grid").begin_object();
   w.key("protocols").begin_array();
-  for (proto::Protocol p : o.protocols) w.value(proto::to_string(p));
+  for (proto::Protocol p : g.protocols) w.value(proto::to_string(p));
   w.end_array();
   w.key("constructs").begin_array();
-  for (harness::ConstructFamily f : o.constructs) w.value(harness::to_string(f));
+  for (ConstructFamily f : g.families) w.value(to_string(f));
   w.end_array();
   w.key("procs").begin_array();
-  for (unsigned p : o.procs) w.value(p);
+  for (unsigned p : g.procs) w.value(p);
   w.end_array();
   w.key("cu_thresholds").begin_array();
-  for (unsigned t : o.cu_thresholds) w.value(t);
+  for (unsigned t : g.cu_thresholds) w.value(t);
   w.end_array();
-  if (!o.seeds.empty()) {
+  if (!g.seeds.empty()) {
     w.key("seeds").begin_array();
-    for (std::uint64_t s : o.seeds) w.value(s);
+    for (std::uint64_t s : g.seeds) w.value(s);
     w.end_array();
   }
   w.key("cells").value(static_cast<std::uint64_t>(jobs.size()));
   w.end_object();
 
   w.key("cells").begin_array();
-  for (const harness::SweepResult& r : results) {
-    w.begin_object();
-    w.key("name").value(r.name);
-    w.key("ok").value(r.ok);
-    if (r.ok) {
-      harness::write_run_fields(w, r.run);
-    } else {
-      w.key("fail_kind").value(harness::to_string(r.fail));
-      w.key("error").value(r.error);
-    }
-    w.end_object();
-  }
+  for (const SweepResult& r : results) write_cell_json(w, r);
   w.end_array();
 
   // Merged summary: counts, failures by name, and the fastest cell per
   // construct family (ties resolve to the earliest submitted cell).
   std::size_t ok = 0;
-  std::vector<const harness::SweepResult*> failed;
+  std::vector<const SweepResult*> failed;
   std::uint64_t total_cycles = 0;
-  const harness::SweepResult* best[3] = {nullptr, nullptr, nullptr};
+  const SweepResult* best[3] = {nullptr, nullptr, nullptr};
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const harness::SweepResult& r = results[i];
+    const SweepResult& r = results[i];
     if (!r.ok) {
       failed.push_back(&r);
       continue;
@@ -424,8 +90,7 @@ void write_doc(std::ostream& os, const Options& o,
     ++ok;
     total_cycles += r.run.cycles;
     const auto fam = static_cast<std::size_t>(jobs[i].family);
-    if (best[fam] == nullptr ||
-        r.run.avg_latency < best[fam]->run.avg_latency)
+    if (best[fam] == nullptr || r.run.avg_latency < best[fam]->run.avg_latency)
       best[fam] = &r;
   }
   w.key("summary").begin_object();
@@ -434,10 +99,10 @@ void write_doc(std::ostream& os, const Options& o,
   w.key("failed").value(static_cast<std::uint64_t>(failed.size()));
   if (!failed.empty()) {
     w.key("failed_cells").begin_array();
-    for (const harness::SweepResult* r : failed) {
+    for (const SweepResult* r : failed) {
       w.begin_object();
       w.key("name").value(r->name);
-      w.key("fail_kind").value(harness::to_string(r->fail));
+      w.key("fail_kind").value(to_string(r->fail));
       w.key("error").value(r->error);
       w.end_object();
     }
@@ -447,7 +112,7 @@ void write_doc(std::ostream& os, const Options& o,
   w.key("best").begin_object();
   for (std::size_t f = 0; f < 3; ++f) {
     if (best[f] == nullptr) continue;
-    w.key(harness::to_string(static_cast<harness::ConstructFamily>(f)));
+    w.key(to_string(static_cast<ConstructFamily>(f)));
     w.begin_object();
     w.key("name").value(best[f]->name);
     w.key("avg_latency").value(best[f]->run.avg_latency);
@@ -460,45 +125,72 @@ void write_doc(std::ostream& os, const Options& o,
   os << '\n';
 }
 
+/// "lock/tk/CU/t4/p16/s7": the threshold only on CU cells, the seed only
+/// on seeded lock and reduction cells.
+std::string cell_name(const GridCell& c) {
+  std::string s{to_string(c.family)};
+  s += '/';
+  s += c.tag();
+  s += '/';
+  s += proto::to_string(c.protocol);
+  if (c.cu_threshold) s += "/t" + std::to_string(*c.cu_threshold);
+  s += "/p" + std::to_string(c.procs);
+  if (c.seed) s += "/s" + std::to_string(*c.seed);
+  return s;
+}
+
+template <class Kind, std::size_t N>
+std::vector<Kind> parse_tags(std::string_view list, const Kind (&all)[N]) {
+  return parse_list(list, [&all](std::string_view s) {
+    return parse_choice(s, all, [](Kind k) { return tag(k); });
+  });
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Options o = parse_args(argc, argv);
-    const std::vector<harness::SweepJob> jobs = build_grid(o);
-    harness::SweepOptions so;
-    so.jobs = o.jobs;
-    harness::ProgressReporter reporter(std::cerr, jobs.size());
-    if (o.progress && !o.quiet)
-      so.progress = [&reporter](std::size_t done, std::size_t total) {
-        (void)total;
-        reporter.update(done);
-      };
-    const std::vector<harness::SweepResult> results = harness::run_sweep(jobs, so);
-    reporter.finish();
-
-    std::size_t failed = 0;
-    for (const harness::SweepResult& r : results)
-      if (!r.ok) {
-        ++failed;
-        std::fprintf(stderr, "failed cell %s: %s\n", r.name.c_str(),
-                     r.error.c_str());
-      }
-
-    if (o.out == "-") {
-      write_doc(std::cout, o, jobs, results);
-    } else {
-      std::ofstream os(o.out);
-      if (!os) throw std::runtime_error("cannot open output file: " + o.out);
-      write_doc(os, o, jobs, results);
-      if (!o.quiet)
-        std::fprintf(stderr, "wrote %zu cell(s) to %s (%zu failed)\n",
-                     results.size(), o.out.c_str(), failed);
-    }
+  Grid g;
+  ToolOptions o{.out = "-"};
+  Flags flags{
+      {"--protocols", "WI,PU,CU",
+       [&](const std::string& v) { g.protocols = parse_list(v, parse_protocol); }},
+      {"--constructs", "lock,barrier,reduction",
+       [&](const std::string& v) {
+         g.families = parse_list(v, [](std::string_view s) {
+           return parse_choice(s, kFamilies,
+                               [](ConstructFamily f) { return to_string(f); });
+         });
+       }},
+      {"--locks", "tk,MCS,uc",
+       [&](const std::string& v) { g.locks = parse_tags(v, kLockKinds); }},
+      {"--barriers", "cb,db,tb,ct",
+       [&](const std::string& v) { g.barriers = parse_tags(v, kBarrierKinds); }},
+      {"--reductions", "sr,pr",
+       [&](const std::string& v) { g.reductions = parse_tags(v, kReductionKinds); }},
+      {"--procs", "a,b,...",
+       [&](const std::string& v) { g.procs = parse_list(v, parse_nodes); }},
+      {"--cu-threshold", "a,b,...",
+       [&](const std::string& v) {
+         g.cu_thresholds = parse_list(
+             v, [](std::string_view s) { return positive(parse_unsigned(s)); });
+       }},
+      {"--seeds", "a,b,...",
+       [&](const std::string& v) { g.seeds = parse_list(v, parse_u64); }},
+      {"--scale", "X", [&](const std::string& v) { g.scale = parse_scale(v); }},
+      {"--paper", "", [&](const std::string&) { g.scale = 1.0; }},
+      {"--profile", "", [&](const std::string&) { g.machine.obs.profile = true; }},
+      {"--host-metrics", "",
+       [&](const std::string&) { g.machine.obs.host_metrics = true; }},
+      {"--max-cycles", "N",
+       [&](const std::string& v) { g.machine.max_cycles = positive(parse_u64(v)); }},
+  };
+  return tool_main(argc, argv, "ccsweep", std::move(flags), o, [&] {
+    const std::vector<SweepJob> jobs = grid_jobs(g, cell_name);
+    const std::vector<SweepResult> results = run_sweep(jobs, o.sweep());
+    const std::size_t failed = print_failures(results);
+    o.write(std::to_string(results.size()) + " cell(s) (" + std::to_string(failed) +
+                " failed)",
+            [&](std::ostream& os) { write_doc(os, g, jobs, results); });
     return failed == 0 ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage();
-    return 2;
-  }
+  });
 }
