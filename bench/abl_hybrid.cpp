@@ -43,8 +43,7 @@ Cycle run_combined(harness::ObsSession& obs, const std::string& label,
   r.cycles = cycles;
   r.avg_latency = static_cast<double>(cycles) / static_cast<double>(rounds);
   r.counters = m.counters();
-  r.samples = m.samples();
-  r.hot = m.hot_blocks();
+  harness::capture_obs(r, m);
   obs.record(r);
   return cycles;
 }

@@ -60,8 +60,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
         r.cycles = cycles;
         r.avg_latency = avg;
         r.counters = m.counters();
-        r.samples = m.samples();
-        r.hot = m.hot_blocks();
+        harness::capture_obs(r, m);
         obs.record(r);
         row.push_back(harness::Table::num(avg, 1));
       }

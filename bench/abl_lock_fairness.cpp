@@ -56,8 +56,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       r.avg_latency = h.mean();
       r.counters = m.counters();
       r.latency = h;
-      r.samples = m.samples();
-      r.hot = m.hot_blocks();
+      harness::capture_obs(r, m);
       obs.record(r);
       const double p50 = static_cast<double>(h.percentile(0.50));
       const double p99 = static_cast<double>(h.percentile(0.99));

@@ -40,8 +40,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
       r.cycles = cycles;
       r.avg_latency = avg;
       r.counters = ctr;
-      r.samples = m.samples();
-      r.hot = m.hot_blocks();
+      harness::capture_obs(r, m);
       obs.record(r);
       t.add_row({series_label(padded ? "padded" : "packed", proto),
                  harness::Table::num(avg, 1),

@@ -28,8 +28,7 @@ double run_cas_max(harness::ObsSession& obs, proto::Protocol p,
   r.cycles = cycles;
   r.avg_latency = static_cast<double>(cycles) / static_cast<double>(rounds);
   r.counters = m.counters();
-  r.samples = m.samples();
-  r.hot = m.hot_blocks();
+  harness::capture_obs(r, m);
   obs.record(r);
   return r.avg_latency;
 }
@@ -50,8 +49,7 @@ double run_atomic_sum(harness::ObsSession& obs, proto::Protocol p,
   r.cycles = cycles;
   r.avg_latency = static_cast<double>(cycles) / static_cast<double>(rounds);
   r.counters = m.counters();
-  r.samples = m.samples();
-  r.hot = m.hot_blocks();
+  harness::capture_obs(r, m);
   obs.record(r);
   return r.avg_latency;
 }

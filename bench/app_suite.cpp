@@ -20,12 +20,7 @@ void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
     obs.configure(ocfg, name);
     const apps::KernelResult r = run_kernel(&ocfg.obs);
     if (!r.correct) throw std::runtime_error(name + ": oracle check FAILED");
-    harness::RunResult rr;
-    rr.cycles = r.cycles;
-    rr.counters = r.counters;
-    rr.samples = r.samples;
-    rr.hot = r.hot;
-    obs.record(rr);
+    obs.record(r);
     t.add_row({name, harness::Table::num(r.cycles),
                harness::Table::num(r.counters.misses.total()),
                harness::Table::num(r.counters.updates.total()),

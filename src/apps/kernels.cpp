@@ -130,8 +130,7 @@ KernelResult run_sor(proto::Protocol p, unsigned nprocs,
     for (unsigned k = 0; k < cells && res.correct; ++k)
       res.correct = m.peek(band[i] + k * mem::kWordSize) == oracle[i * cells + k];
   res.counters = m.counters();
-  res.samples = m.samples();
-  res.hot = m.hot_blocks();
+  harness::capture_obs(res, m);
   return res;
 }
 
@@ -183,8 +182,7 @@ KernelResult run_histogram(proto::Protocol p, unsigned nprocs,
   for (unsigned b = 0; b < params.buckets && res.correct; ++b)
     res.correct = m.peek(bucket[b]) == expect[b];
   res.counters = m.counters();
-  res.samples = m.samples();
-  res.hot = m.hot_blocks();
+  harness::capture_obs(res, m);
   return res;
 }
 
@@ -255,8 +253,7 @@ KernelResult run_nbody_step(proto::Protocol p, unsigned nprocs,
   });
   res.correct = ok;
   res.counters = m.counters();
-  res.samples = m.samples();
-  res.hot = m.hot_blocks();
+  harness::capture_obs(res, m);
   return res;
 }
 
@@ -354,8 +351,7 @@ KernelResult run_pipeline(proto::Protocol p, unsigned nprocs,
                     ? m.peek(sink) == params.items * (params.items + 1ull) / 2
                     : m.peek(sink) == expect;
   res.counters = m.counters();
-  res.samples = m.samples();
-  res.hot = m.hot_blocks();
+  harness::capture_obs(res, m);
   return res;
 }
 
@@ -445,8 +441,7 @@ KernelResult run_matmul(proto::Protocol p, unsigned nprocs,
     for (unsigned col = 0; col < n && res.correct; ++col)
       res.correct = m.peek(c_row[r] + col * mem::kWordSize) == expect[r * n + col];
   res.counters = m.counters();
-  res.samples = m.samples();
-  res.hot = m.hot_blocks();
+  harness::capture_obs(res, m);
   return res;
 }
 

@@ -25,16 +25,12 @@
 
 namespace ccsim::apps {
 
-/// Outcome of one kernel run. `correct` is the oracle check; benches and
-/// tests must treat false as a hard failure.
-struct KernelResult {
-  Cycle cycles = 0;
-  stats::Counters counters;
+/// Outcome of one kernel run: cycles, counters and the observer sections
+/// the run's ObsConfig switched on (avg_latency and latency stay empty),
+/// plus `correct`, the oracle check; benches and tests must treat false as
+/// a hard failure.
+struct KernelResult : harness::RunResult {
   bool correct = false;
-  /// Per-interval counter samples (empty unless obs sampling was on).
-  obs::IntervalSeries samples;
-  /// Hottest blocks with allocator names (empty unless obs attribution).
-  std::vector<obs::HotBlockTable::Row> hot;
 };
 
 struct SorParams {

@@ -174,7 +174,13 @@ Flags obs_flags(ObsOptions& o) {
 
 BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions o;
-  if (const char* env = std::getenv("REPRO_SCALE")) o.scale = std::atof(env);
+  if (const char* env = std::getenv("REPRO_SCALE")) {
+    try {
+      o.scale = parse_scale(env);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("REPRO_SCALE: ") + e.what());
+    }
+  }
   Flags table{
       {"--paper", "", [&o](const std::string&) { o.scale = 1.0; }},
       {"--scale", "X", [&o](const std::string& v) { o.scale = parse_scale(v); }},
@@ -185,8 +191,6 @@ BenchOptions parse_bench_args(int argc, char** argv) {
   };
   for (Flag& f : obs_flags(o.obs)) table.push_back(std::move(f));
   parse_flags(argc, argv, program_name(argc > 0 ? argv[0] : nullptr), table);
-  if (o.scale <= 0.0 || o.scale > 1.0)
-    throw std::invalid_argument("REPRO_SCALE must be in (0, 1]");
   return o;
 }
 

@@ -35,7 +35,7 @@ std::vector<obs::Observer*> attached(std::initializer_list<obs::Observer*> all) 
 Machine::Machine(MachineConfig cfg)
     : cfg_(validated(cfg)),
       trace_(cfg.trace || cfg.obs.sink || cfg.obs.check_invariants
-                 ? std::make_unique<sim::TraceLog>()
+                 ? std::make_unique<obs::TraceLog>()
                  : nullptr),
       alloc_(cfg.nprocs),
       checker_(cfg.obs.check_invariants

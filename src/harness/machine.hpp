@@ -95,8 +95,8 @@ struct MachineConfig {
   /// not count as progress, so the bound must exceed the longest think in
   /// the workload plus the worst contended-operation latency.
   Cycle watchdog_stall_cycles = 0;
-  /// Attach a structured trace (ring of recent protocol events, appended
-  /// to deadlock reports; see Machine::trace() to echo it live).
+  /// Attach a structured trace (the last protocol events, kept as records
+  /// and formatted into deadlock reports).
   bool trace = false;
   /// Memory consistency model (the paper's machine is release consistent).
   proto::Consistency consistency = proto::Consistency::Release;
@@ -142,8 +142,9 @@ public:
   [[nodiscard]] cpu::Cpu& cpu(NodeId i) { return procs_.at(i)->cpu(); }
   [[nodiscard]] proto::Node& node(NodeId i) { return *nodes_.at(i); }
   [[nodiscard]] unsigned nprocs() const noexcept { return cfg_.nprocs; }
-  /// The attached trace log, or nullptr when MachineConfig::trace is off.
-  [[nodiscard]] sim::TraceLog* trace() noexcept { return trace_.get(); }
+  /// The attached trace log, or nullptr when nothing switched tracing on
+  /// (MachineConfig::trace, a trace sink or the invariant checker).
+  [[nodiscard]] obs::TraceLog* trace() noexcept { return trace_.get(); }
 
   /// Per-interval counter samples (empty unless obs.sample_interval > 0).
   [[nodiscard]] const obs::IntervalSeries& samples() const noexcept {
@@ -176,7 +177,7 @@ private:
 
   MachineConfig cfg_;
   sim::EventQueue q_;
-  std::unique_ptr<sim::TraceLog> trace_;
+  std::unique_ptr<obs::TraceLog> trace_;
   stats::Counters counters_;
   mem::SharedAllocator alloc_;
   std::unique_ptr<obs::InvariantChecker> checker_;

@@ -18,7 +18,6 @@ obs::TraceEvent net_event(obs::EventKind kind, Cycle at, Cycle dur, NodeId node,
   e.kind = kind;
   e.node = node;
   e.peer = peer;
-  e.has_msg = true;
   e.msg = msg.type;
   e.addr = msg.addr;
   e.payload = msg.payload;

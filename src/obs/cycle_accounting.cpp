@@ -91,13 +91,6 @@ void CycleLedger::end(NodeId p) {
   pr.stack.pop_back();
 }
 
-void CycleLedger::end_as(NodeId p, CycleCat c) {
-  Proc& pr = procs_.at(p);
-  assert(!pr.stack.empty());
-  charge(pr, c, now());
-  pr.stack.pop_back();
-}
-
 void CycleLedger::end_inherit(NodeId p) {
   Proc& pr = procs_.at(p);
   assert(!pr.stack.empty());

@@ -111,11 +111,6 @@ public:
   void begin(NodeId p, CycleCat c);
   /// Charge the span since the last charge to the scope's own category.
   void end(NodeId p);
-  /// As end(), but charge to `c` instead (late-resolved spans).
-  void end_as(NodeId p, CycleCat c);
-  /// As end(), but charge to the ENCLOSING scope (fast ops that should not
-  /// steal cycles from the construct they serve).
-  void end_inherit(NodeId p);
   /// Spans at or below `fast_cycles` long inherit the enclosing category
   /// (the op completed at its uncontended cost); longer spans charge their
   /// own category (the excess is the stall being measured).
@@ -165,6 +160,9 @@ private:
   };
 
   void charge(Proc& pr, CycleCat c, Cycle until);
+  /// As end(), but charge to the ENCLOSING scope (fast ops that should not
+  /// steal cycles from the construct they serve).
+  void end_inherit(NodeId p);
   [[nodiscard]] CycleCat enclosing(const Proc& pr) const noexcept {
     return pr.stack.empty() ? CycleCat::Compute : pr.stack.back().cat;
   }
@@ -175,31 +173,14 @@ private:
   bool finalized_ = false;
 };
 
-/// RAII category scope for construct implementations. Null ledger = no-op.
-class ScopedWait {
-public:
-  ScopedWait(CycleLedger* l, NodeId p, CycleCat c) : l_(l), p_(p) {
-    if (l_) l_->begin(p_, c);
-  }
-  ~ScopedWait() {
-    if (l_) l_->end(p_);
-  }
-  ScopedWait(const ScopedWait&) = delete;
-  ScopedWait& operator=(const ScopedWait&) = delete;
-
-private:
-  CycleLedger* l_;
-  NodeId p_;
-};
-
-/// RAII scope that both attributes cycles to `c` and records the scope's
-/// wall duration into the (construct, phase) histogram.
+/// RAII scope for construct implementations: attributes its cycles to the
+/// phase's construct-wait category and records its wall duration into the
+/// (construct, phase) histogram. Null ledger = no-op.
 class ScopedPhase {
 public:
-  ScopedPhase(CycleLedger* l, NodeId p, CycleCat c, SyncPhase ph)
-      : l_(l), p_(p), ph_(ph) {
+  ScopedPhase(CycleLedger* l, NodeId p, SyncPhase ph) : l_(l), p_(p), ph_(ph) {
     if (!l_) return;
-    l_->begin(p_, c);
+    l_->begin(p_, wait_cat(ph_));
     start_ = l_->now();
     if (ph_ == SyncPhase::LockRelease) l_->note_release_begin(p_);
   }
@@ -212,6 +193,20 @@ public:
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
 private:
+  /// The construct-wait category of a phase's otherwise unattributed cycles.
+  static constexpr CycleCat wait_cat(SyncPhase ph) noexcept {
+    switch (ph) {
+      case SyncPhase::LockAcquire:
+      case SyncPhase::LockHold:
+      case SyncPhase::LockRelease: return CycleCat::LockWait;
+      case SyncPhase::BarrierArrive:
+      case SyncPhase::BarrierDepart: return CycleCat::BarrierWait;
+      case SyncPhase::ReductionCombine:
+      case SyncPhase::Count_: break;
+    }
+    return CycleCat::ReductionWait;
+  }
+
   CycleLedger* l_;
   NodeId p_;
   SyncPhase ph_;

@@ -149,7 +149,7 @@ private:
 };
 
 /// RAII attribution scope. Null collector = no-op, so call sites stay
-/// unconditional (mirrors obs::ScopedWait).
+/// unconditional (mirrors obs::ScopedPhase).
 class ScopedHostCat {
 public:
   ScopedHostCat(HostPerfCollector* c, HostCat cat) : c_(c) {

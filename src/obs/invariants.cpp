@@ -172,9 +172,11 @@ std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
     s += state_name(st);
   }
   s += '\n';
-  if (auto it = recent_.find(b); it != recent_.end() && !it->second.empty()) {
+  if (auto it = recent_.find(b); it != recent_.end()) {
     s += "  recent events for block:\n";
-    for (const std::string& line : it->second) s += "    " + line + "\n";
+    it->second.for_last(kTraceTail, [&s](const TraceEvent& e) {
+      s += "    " + format_event(e) + "\n";
+    });
   }
   return s;
 }
@@ -185,10 +187,7 @@ void InvariantChecker::fail(mem::BlockAddr b, const std::string& what) const {
 }
 
 void InvariantChecker::on_event(const TraceEvent& e) {
-  if (!e.has_msg) return;
-  std::deque<std::string>& ring = recent_[mem::block_of(e.addr)];
-  ring.push_back(format_event(e));
-  while (ring.size() > kTraceTail) ring.pop_front();
+  recent_[mem::block_of(e.addr)].push(e);
 }
 
 void InvariantChecker::audit_entry(NodeId home, mem::BlockAddr b,

@@ -48,7 +48,8 @@
 // block (with its allocator-assigned symbolic name), its home, the
 // directory entry, every cache holding the block, the shadow/observed
 // values, and the last-N trace events touching that block (the checker
-// registers as a TraceSink to keep a small per-block event ring).
+// registers as a TraceSink to keep a small per-block ring of event records,
+// formatted only when a report is built).
 #pragma once
 
 #include "mem/address.hpp"
@@ -62,7 +63,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -164,7 +164,7 @@ private:
   std::vector<NodeView> nodes_;
   std::unordered_map<Addr, std::uint64_t> shadow_;  ///< word addr -> value
   std::unordered_map<Addr, History> history_;
-  std::unordered_map<mem::BlockAddr, std::deque<std::string>> recent_;
+  std::unordered_map<mem::BlockAddr, EventRing<kTraceTail>> recent_;
   std::uint64_t checks_ = 0;
 };
 

@@ -6,17 +6,6 @@
 
 namespace ccsim::obs {
 
-namespace {
-std::string_view kind_name(EventKind k) noexcept {
-  switch (k) {
-    case EventKind::Note: return "note";
-    case EventKind::MsgSend: return "send";
-    case EventKind::MsgRecv: return "recv";
-  }
-  return "?";
-}
-} // namespace
-
 void JsonlSink::begin_run(const std::string& label) {
   os_ << "{\"run\":\"" << stats::json_escape(label) << "\"}\n";
 }
@@ -27,19 +16,15 @@ void JsonlSink::on_event(const TraceEvent& e) {
   w.key("t").value(static_cast<std::uint64_t>(e.cycle));
   if (e.dur != 0) w.key("dur").value(static_cast<std::uint64_t>(e.dur));
   w.key("cat").value(to_string(e.cat));
-  w.key("kind").value(kind_name(e.kind));
+  w.key("kind").value(e.kind == EventKind::MsgSend ? "send" : "recv");
   if (e.node != kInvalidNode) w.key("node").value(e.node);
   if (e.peer != kInvalidNode) w.key("peer").value(e.peer);
-  if (e.has_msg) {
-    w.key("msg").value(net::to_string(e.msg));
-    char addr[24];
-    std::snprintf(addr, sizeof addr, "0x%llx",
-                  static_cast<unsigned long long>(e.addr));
-    w.key("addr").value(addr);
-    if (e.payload != 0) w.key("pay").value(e.payload);
-  }
+  w.key("msg").value(net::to_string(e.msg));
+  char addr[24];
+  std::snprintf(addr, sizeof addr, "0x%llx", static_cast<unsigned long long>(e.addr));
+  w.key("addr").value(addr);
+  if (e.payload != 0) w.key("pay").value(e.payload);
   if (e.flow != 0) w.key("flow").value(e.flow);
-  if (!e.text.empty()) w.key("text").value(e.text);
   w.end_object();
   os_ << '\n';
 }

@@ -104,48 +104,25 @@ void PerfettoSink::flush_run() {
                    });
 
   for (const TraceEvent& e : buf_) {
+    const std::string name(net::to_string(e.msg));
     const std::string loc = where(pid_, e.node, e.cycle);
-    const std::string cat(to_string(e.cat));
-    switch (e.kind) {
-      case EventKind::MsgSend:
-      case EventKind::MsgRecv: {
-        const std::string name(net::to_string(e.msg));
-        const bool send = e.kind == EventKind::MsgSend;
-        if (e.dur == 0 && e.flow == 0) {
-          // Controller-level handling: an instant marker on the node track.
-          std::string rec = "{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-                            "\",\"ph\":\"i\",\"s\":\"t\"," + loc +
-                            ",\"args\":{\"addr\":\"" + hex(e.addr) + "\",\"" +
-                            (send ? "to" : "from") + "\":" + u64(e.peer);
-          if (e.payload != 0) rec += ",\"pay\":" + u64(e.payload);
-          rec += "}}";
-          emit(rec);
-          break;
-        }
-        std::string rec = "{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-                          "\",\"ph\":\"X\"," + loc +
-                          ",\"dur\":" + u64(e.dur > 0 ? e.dur : 1) +
-                          ",\"args\":{\"addr\":\"" + hex(e.addr) + "\",\"" +
-                          (send ? "to" : "from") + "\":" + u64(e.peer);
-        if (e.payload != 0) rec += ",\"pay\":" + u64(e.payload);
-        rec += "}}";
-        emit(rec);
-        if (e.flow != 0) {
-          if (send)
-            emit("{\"name\":\"" + name + "\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
-                 u64(e.flow) + "," + loc + "}");
-          else
-            emit("{\"name\":\"" + name +
-                 "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" +
-                 u64(e.flow) + "," + loc + "}");
-        }
-        break;
-      }
-      case EventKind::Note:
-        emit("{\"name\":\"" + stats::json_escape(e.text) + "\",\"cat\":\"" + cat +
-             "\",\"ph\":\"i\",\"s\":\"t\"," + loc + "}");
-        break;
+    const bool send = e.kind == EventKind::MsgSend;
+    const std::string head =
+        "{\"name\":\"" + name + "\",\"cat\":\"" + std::string(to_string(e.cat)) + "\",";
+    std::string args = ",\"args\":{\"addr\":\"" + hex(e.addr) + "\",\"" +
+                       (send ? "to" : "from") + "\":" + u64(e.peer);
+    if (e.payload != 0) args += ",\"pay\":" + u64(e.payload);
+    args += "}}";
+    if (e.dur == 0 && e.flow == 0) {
+      // Controller-level handling: an instant marker on the node track.
+      emit(head + "\"ph\":\"i\",\"s\":\"t\"," + loc + args);
+      continue;
     }
+    emit(head + "\"ph\":\"X\"," + loc + ",\"dur\":" + u64(e.dur > 0 ? e.dur : 1) + args);
+    if (e.flow != 0)
+      emit("{\"name\":\"" + name + "\",\"cat\":\"flow\",\"ph\":" +
+           (send ? "\"s\"" : "\"f\",\"bp\":\"e\"") + ",\"id\":" + u64(e.flow) + "," +
+           loc + "}");
   }
 
   // Interval samples as a counter track: one "C" record per interval, its

@@ -9,9 +9,7 @@ std::string_view to_string(TraceCat c) noexcept {
   switch (c) {
     case TraceCat::Cache: return "cache";
     case TraceCat::Home: return "home";
-    case TraceCat::Cpu: return "cpu";
     case TraceCat::Net: return "net";
-    case TraceCat::All: return "all";
   }
   return "?";
 }
@@ -47,9 +45,6 @@ std::string format_event(const TraceEvent& e) {
                          e.node, static_cast<int>(net::to_string(e.msg).size()),
                          net::to_string(e.msg).data(), e.addr, e.peer);
       break;
-    case EventKind::Note:
-      n += std::snprintf(buf + n, room(), "%s", e.text.c_str());
-      break;
   }
   return std::string(buf, static_cast<std::size_t>(n));
 }
@@ -61,41 +56,16 @@ void TextSink::begin_run(const std::string& label) {
 void TextSink::on_event(const TraceEvent& e) { os_ << format_event(e) << '\n'; }
 
 void TraceLog::event(const TraceEvent& e) {
-  ++total_;  // masked and ring-evicted events still count
-  if (!on(e.cat)) return;
-  std::string line = format_event(e);
-  if (echo_) std::fprintf(echo_, "%s\n", line.c_str());
-  ring_.push_back(std::move(line));
-  if (ring_.size() > capacity_) ring_.pop_front();
+  ring_.push(e);
   for (TraceSink* s : sinks_) s->on_event(e);
-}
-
-void TraceLog::log(TraceCat c, Cycle now, const char* fmt, ...) {
-  if (!on(c)) {
-    ++total_;
-    return;
-  }
-  char buf[256];
-  std::va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-
-  TraceEvent e;
-  e.cycle = now;
-  e.cat = c;
-  e.kind = EventKind::Note;
-  e.text = buf;
-  event(e);
 }
 
 std::string TraceLog::tail(std::size_t n) const {
   std::string out;
-  const std::size_t start = ring_.size() > n ? ring_.size() - n : 0;
-  for (std::size_t i = start; i < ring_.size(); ++i) {
-    out += ring_[i];
+  ring_.for_last(n, [&out](const TraceEvent& e) {
+    out += format_event(e);
     out += '\n';
-  }
+  });
   return out;
 }
 

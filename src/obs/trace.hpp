@@ -1,30 +1,29 @@
 // Structured event tracing: TraceEvent records dispatched to pluggable sinks.
 //
-// Every controller logs its message receptions and key decisions through a
-// TraceLog when one is attached (MachineConfig::trace). Events are structured
-// records (cycle, node, category, message type, address, small payload), not
-// preformatted strings, so sinks can render them any way they like:
+// Every controller logs its message receptions through a TraceLog when one
+// is attached (MachineConfig::trace, a trace sink, or the invariant
+// checker). Events are structured records (cycle, node, category, message
+// type, address, small payload) and stay records until text leaves the
+// program: format_event renders one as a line only where it is printed.
 //
-//   - the built-in bounded ring of formatted lines (always on; cheap enough
-//     to leave enabled for debugging runs, and attached to deadlock reports
-//     by Machine::run so failures are diagnosable post-mortem);
-//   - TextSink     -- the same formatted lines streamed to an ostream;
+//   - the built-in ring of the last TraceLog::kRing records, formatted on
+//     demand for the deadlock reports of Machine::run;
+//   - TextSink     -- formatted lines streamed to an ostream;
 //   - JsonlSink    -- one JSON object per line, for scripts (obs/jsonl_sink.hpp);
 //   - PerfettoSink -- Chrome trace_event JSON with per-node tracks and
 //     message-lifetime flow arrows, loadable in chrome://tracing or
 //     https://ui.perfetto.dev (obs/perfetto_sink.hpp).
 //
 // The network logs MsgSend/MsgRecv pairs joined by a flow id (one per
-// injected message); controllers log their receptions and decisions as
-// instant events on their node's track.
+// injected message); controllers log their receptions as instant events on
+// their node's track.
 #pragma once
 
 #include "net/message.hpp"
 #include "sim/types.hpp"
 
-#include <cstdarg>
-#include <cstdio>
-#include <deque>
+#include <algorithm>
+#include <array>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -36,20 +35,17 @@ struct IntervalSeries;   // obs/sampler.hpp
 struct ProfileSnapshot;  // obs/cycle_accounting.hpp
 struct SharingReport;    // obs/sharing.hpp
 
-/// Trace categories; enable any subset.
-enum class TraceCat : unsigned {
-  Cache = 1u << 0,  ///< cache-controller message receptions / decisions
-  Home = 1u << 1,   ///< directory/home message receptions
-  Cpu = 1u << 2,    ///< processor-level operations (atomics, flushes)
-  Net = 1u << 3,    ///< network injections and deliveries (flow arrows)
-  All = 0xffffffffu,
+/// Which layer logged an event.
+enum class TraceCat : std::uint8_t {
+  Cache,  ///< cache-controller message receptions
+  Home,   ///< directory/home message receptions
+  Net,    ///< network injections and deliveries (flow arrows)
 };
 
 [[nodiscard]] std::string_view to_string(TraceCat c) noexcept;
 
 /// What a TraceEvent describes.
 enum class EventKind : std::uint8_t {
-  Note,     ///< free-form text (the printf-style TraceLog::log path)
   MsgSend,  ///< message injected into the network at `node`, bound for `peer`
   MsgRecv,  ///< message delivered to / handled by `node`, sent by `peer`
 };
@@ -60,16 +56,14 @@ enum class EventKind : std::uint8_t {
 struct TraceEvent {
   Cycle cycle = 0;
   Cycle dur = 0;
-  TraceCat cat = TraceCat::Cpu;
-  EventKind kind = EventKind::Note;
+  TraceCat cat = TraceCat::Net;
+  EventKind kind = EventKind::MsgRecv;
   NodeId node = kInvalidNode;
   NodeId peer = kInvalidNode;
-  bool has_msg = false;
   net::MsgType msg{};
   Addr addr = 0;
   std::uint64_t payload = 0;
   std::uint64_t flow = 0;
-  std::string text;
 };
 
 /// Convenience: the structured record for a controller handling `msg`.
@@ -81,7 +75,6 @@ struct TraceEvent {
   e.kind = EventKind::MsgRecv;
   e.node = node;
   e.peer = msg.src;
-  e.has_msg = true;
   e.msg = msg.type;
   e.addr = msg.addr;
   e.payload = msg.payload;
@@ -89,12 +82,31 @@ struct TraceEvent {
 }
 
 /// One line of human-readable text for an event ("t=42 [cache] cache3 <-
-/// GetS addr=0x10000000 from 1"), the ring / text-sink / echo rendering.
+/// GetS addr=0x10000000 from 1"), the text-sink / report rendering.
 [[nodiscard]] std::string format_event(const TraceEvent& e);
 
+/// The last N events pushed, kept as records in a fixed ring.
+template <std::size_t N>
+class EventRing {
+public:
+  void push(const TraceEvent& e) noexcept { slots_[pushed_++ % N] = e; }
+
+  /// Calls `f` on each of the last `n` events still held, oldest first.
+  template <class F>
+  void for_last(std::size_t n, F&& f) const {
+    const std::uint64_t held = std::min<std::uint64_t>(pushed_, N);
+    for (std::uint64_t i = pushed_ - std::min<std::uint64_t>(n, held); i < pushed_; ++i)
+      f(slots_[i % N]);
+  }
+
+private:
+  std::array<TraceEvent, N> slots_{};
+  std::uint64_t pushed_ = 0;
+};
+
 /// Where structured events go. Sinks are registered on a TraceLog and
-/// receive every unmasked event in simulation order. File-writing sinks
-/// group events into runs: begin_run() starts a new labeled section (a new
+/// receive every event in simulation order. File-writing sinks group
+/// events into runs: begin_run() starts a new labeled section (a new
 /// Perfetto process, a JSONL run marker, a text header) and finish() flushes
 /// trailers; both are optional for sinks that need neither.
 class TraceSink {
@@ -127,62 +139,28 @@ private:
   std::ostream& os_;
 };
 
-/// Collects structured events and fans them out: always into the bounded
-/// ring of formatted lines, optionally to an echo stream and to registered
-/// sinks. Category masking filters retention/dispatch but every event --
-/// masked or not, evicted or not -- counts toward total_events().
+/// Collects structured events: keeps the last kRing as records and fans
+/// every event out to the registered sinks.
 class TraceLog {
 public:
-  explicit TraceLog(unsigned mask = static_cast<unsigned>(TraceCat::All),
-                    std::size_t ring_capacity = 512)
-      : mask_(mask), capacity_(ring_capacity) {}
-
-  [[nodiscard]] bool on(TraceCat c) const noexcept {
-    return (mask_ & static_cast<unsigned>(c)) != 0;
-  }
-  void set_mask(unsigned mask) noexcept { mask_ = mask; }
-
-  /// Echo every retained event to `f` as it is logged (nullptr = ring only).
-  void set_echo(std::FILE* f) noexcept { echo_ = f; }
+  /// Events kept for deadlock reports.
+  static constexpr std::size_t kRing = 512;
 
   /// Register an additional sink (not owned; must outlive the log).
   void add_sink(TraceSink* s) { if (s) sinks_.push_back(s); }
 
-  /// Record one structured event; dispatched unless the category is masked.
+  /// Record one structured event and dispatch it to every sink.
   void event(const TraceEvent& e);
-
-  /// printf-style free-form event (kind = Note); masked categories are
-  /// still counted but neither retained nor dispatched.
-  void log(TraceCat c, Cycle now, const char* fmt, ...)
-#if defined(__GNUC__)
-      __attribute__((format(printf, 4, 5)))
-#endif
-      ;
 
   /// Fresh id joining one message's MsgSend to its MsgRecv.
   [[nodiscard]] std::uint64_t next_flow_id() noexcept { return ++flow_seq_; }
 
-  [[nodiscard]] const std::deque<std::string>& recent() const noexcept {
-    return ring_;
-  }
-  /// Every event ever logged, including masked-off and ring-evicted ones.
-  [[nodiscard]] std::size_t total_events() const noexcept { return total_; }
-
-  /// The last `n` retained events joined with newlines (deadlock reports).
+  /// The last `n` kept events formatted one per line (deadlock reports).
   [[nodiscard]] std::string tail(std::size_t n) const;
 
-  void clear() {
-    ring_.clear();
-    total_ = 0;
-  }
-
 private:
-  unsigned mask_;
-  std::size_t capacity_;
-  std::deque<std::string> ring_;
-  std::size_t total_ = 0;
+  EventRing<kRing> ring_;
   std::uint64_t flow_seq_ = 0;
-  std::FILE* echo_ = nullptr;
   std::vector<TraceSink*> sinks_;
 };
 

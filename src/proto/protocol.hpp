@@ -11,8 +11,8 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "obs/observer.hpp"
+#include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/trace.hpp"
 #include "stats/counters.hpp"
 #include "stats/miss_classifier.hpp"
 #include "stats/update_classifier.hpp"
@@ -65,7 +65,7 @@ struct ProtocolContext {
   stats::UpdateClassifier& updates;
   unsigned nprocs;
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
-  sim::TraceLog* trace = nullptr;  ///< optional structured event trace
+  obs::TraceLog* trace = nullptr;  ///< optional structured event trace
   /// Attached transition observers (obs/observer.hpp). Engines report each
   /// transition once, to all of them; observers never schedule events, so
   /// timing is identical whichever are attached.

@@ -12,8 +12,7 @@ AtomicSumReduction::AtomicSumReduction(harness::Machine& m, Barrier& barrier,
 sim::Task AtomicSumReduction::reduce(cpu::Cpu& c, std::uint64_t value,
                                      std::uint64_t* result) {
   {
-    obs::ScopedPhase combine(c.ledger(), c.id(), obs::CycleCat::ReductionWait,
-                             obs::SyncPhase::ReductionCombine);
+    obs::ScopedPhase combine(c.ledger(), c.id(), obs::SyncPhase::ReductionCombine);
     (void)co_await c.fetch_add(sum_, value);
   }
   co_await barrier_.wait(c);
@@ -30,8 +29,7 @@ sim::Task CasMaxReduction::reduce(cpu::Cpu& c, std::uint64_t value,
                                   std::uint64_t* result) {
   // Lock-free maximum: retry while our candidate still beats the global.
   {
-    obs::ScopedPhase combine(c.ledger(), c.id(), obs::CycleCat::ReductionWait,
-                             obs::SyncPhase::ReductionCombine);
+    obs::ScopedPhase combine(c.ledger(), c.id(), obs::SyncPhase::ReductionCombine);
     for (;;) {
       const std::uint64_t cur = co_await c.load(max_);
       if (cur >= value) break;

@@ -28,13 +28,11 @@ sim::Task CentralBarrier::wait(cpu::Cpu& c) {
   local_sense_[c.id()] = static_cast<std::uint8_t>(ls);
   std::uint64_t prev;
   {
-    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                            obs::SyncPhase::BarrierArrive);
+    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::SyncPhase::BarrierArrive);
     co_await c.think(1);
     prev = co_await c.fetch_add(count_addr(), static_cast<std::uint64_t>(-1));
   }
-  obs::ScopedPhase depart(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                          obs::SyncPhase::BarrierDepart);
+  obs::ScopedPhase depart(c.ledger(), c.id(), obs::SyncPhase::BarrierDepart);
   if (prev == 1) {
     // Last arriver: reset the count, then toggle the global sense.
     co_await c.store(count_addr(), parties_);
@@ -72,12 +70,10 @@ sim::Task DisseminationBarrier::wait(cpu::Cpu& c) {
   for (unsigned k = 0; k < rounds_; ++k) {
     const NodeId partner = static_cast<NodeId>((pid + (1u << k)) % parties_);
     {
-      obs::ScopedPhase arrive(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                              obs::SyncPhase::BarrierArrive);
+      obs::ScopedPhase arrive(c.ledger(), c.id(), obs::SyncPhase::BarrierArrive);
       co_await c.store(flag_addr(partner, st.parity, k), st.sense);
     }
-    obs::ScopedPhase depart(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                            obs::SyncPhase::BarrierDepart);
+    obs::ScopedPhase depart(c.ledger(), c.id(), obs::SyncPhase::BarrierDepart);
     const std::uint64_t sense = st.sense;
     co_await c.spin_until(flag_addr(pid, st.parity, k),
                           [sense](std::uint64_t v) { return v == sense; });
@@ -121,8 +117,7 @@ sim::Task TreeBarrier::wait(cpu::Cpu& c) {
   // Wait until childnotready = {false,false,false,false} (the packed word
   // reaches zero), then re-arm it to havechild with one store.
   {
-    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                            obs::SyncPhase::BarrierArrive);
+    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::SyncPhase::BarrierArrive);
     if (havechild_word_[i] != 0) {
       co_await c.spin_until(nodes_[i], [](std::uint64_t v) { return v == 0; });
       co_await c.store(nodes_[i], havechild_word_[i], 4);
@@ -135,8 +130,7 @@ sim::Task TreeBarrier::wait(cpu::Cpu& c) {
       co_await c.store(childnotready_addr(parent, slot), 0, 1);
     }
   }
-  obs::ScopedPhase depart(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                          obs::SyncPhase::BarrierDepart);
+  obs::ScopedPhase depart(c.ledger(), c.id(), obs::SyncPhase::BarrierDepart);
   if (i != 0) {
     co_await c.spin_until(globalsense_,
                           [sense](std::uint64_t v) { return v == sense; });
@@ -178,8 +172,7 @@ sim::Task CombiningTreeBarrier::wait(cpu::Cpu& c) {
 
   // Arrival: 4-ary fan-in, identical to the figure-5 tree.
   {
-    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                            obs::SyncPhase::BarrierArrive);
+    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::SyncPhase::BarrierArrive);
     if (havechild_word_[i] != 0) {
       co_await c.spin_until(arrival_[i], [](std::uint64_t v) { return v == 0; });
       co_await c.store(arrival_[i], havechild_word_[i], 4);
@@ -191,8 +184,7 @@ sim::Task CombiningTreeBarrier::wait(cpu::Cpu& c) {
       co_await c.store(childnotready_addr(parent, slot), 0, 1);
     }
   }
-  obs::ScopedPhase depart(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                          obs::SyncPhase::BarrierDepart);
+  obs::ScopedPhase depart(c.ledger(), c.id(), obs::SyncPhase::BarrierDepart);
   if (i != 0) {
     // Wakeup: spin on a flag in our own memory (exactly one writer).
     co_await c.spin_until(wakeup_[i],

@@ -5,8 +5,7 @@
 namespace ccsim::sync {
 
 sim::Task MagicLock::acquire(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockAcquire);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockAcquire);
   co_await AcquireAwaiter{*this};
   // The acquire-path instructions run once the lock is granted (exiting
   // the spin, re-establishing the critical section) and are therefore part
@@ -16,8 +15,7 @@ sim::Task MagicLock::acquire(cpu::Cpu& c) {
 }
 
 sim::Task MagicLock::release(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockRelease);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockRelease);
   // The lock variable itself generates no traffic, but release semantics
   // still apply: critical-section writes must be globally performed before
   // the next holder can run.
@@ -37,13 +35,11 @@ sim::Task MagicBarrier::wait(cpu::Cpu& c) {
   // Same release semantics as a real barrier: everything written before
   // arrival is visible to every processor after departure.
   {
-    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                            obs::SyncPhase::BarrierArrive);
+    obs::ScopedPhase arrive(c.ledger(), c.id(), obs::SyncPhase::BarrierArrive);
     co_await c.think(kArriveCycles);
     co_await c.fence();
   }
-  obs::ScopedPhase depart(c.ledger(), c.id(), obs::CycleCat::BarrierWait,
-                          obs::SyncPhase::BarrierDepart);
+  obs::ScopedPhase depart(c.ledger(), c.id(), obs::SyncPhase::BarrierDepart);
   co_await WaitAwaiter{*this};
 }
 

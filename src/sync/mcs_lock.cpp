@@ -27,8 +27,7 @@ McsLock::McsLock(harness::Machine& m, bool update_conscious, NodeId home, bool p
 }
 
 sim::Task McsLock::acquire(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockAcquire);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockAcquire);
   const Addr I = qnodes_.at(c.id());
   co_await c.store(I + kNextOff, 0);
   const Addr pred = co_await c.fetch_store(tail_, I);
@@ -44,8 +43,7 @@ sim::Task McsLock::acquire(cpu::Cpu& c) {
 }
 
 sim::Task McsLock::release(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockRelease);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockRelease);
   const Addr I = qnodes_.at(c.id());
   Addr next = co_await c.load(I + kNextOff);
   if (next == 0) {

@@ -18,8 +18,7 @@ sim::Task ParallelReduction::reduce(cpu::Cpu& c, std::uint64_t value,
   {
     // Innermost-scope-wins: the lock's own acquire/release spans charge
     // lock_wait; only the folding in between lands in reduction_wait.
-    obs::ScopedPhase combine(c.ledger(), c.id(), obs::CycleCat::ReductionWait,
-                             obs::SyncPhase::ReductionCombine);
+    obs::ScopedPhase combine(c.ledger(), c.id(), obs::SyncPhase::ReductionCombine);
     co_await lock_.acquire(c);
     const std::uint64_t m = co_await c.load(max_);
     if (m < value) co_await c.store(max_, value);
@@ -47,14 +46,12 @@ sim::Task SequentialReduction::reduce(cpu::Cpu& c, std::uint64_t value,
                                       std::uint64_t* result) {
   // Publish the local value, then processor 0 folds the array (figure 7).
   {
-    obs::ScopedPhase combine(c.ledger(), c.id(), obs::CycleCat::ReductionWait,
-                             obs::SyncPhase::ReductionCombine);
+    obs::ScopedPhase combine(c.ledger(), c.id(), obs::SyncPhase::ReductionCombine);
     co_await c.store(local_max_addr(c.id()), value);
   }
   co_await barrier_.wait(c);
   if (c.id() == 0) {
-    obs::ScopedPhase combine(c.ledger(), c.id(), obs::CycleCat::ReductionWait,
-                             obs::SyncPhase::ReductionCombine);
+    obs::ScopedPhase combine(c.ledger(), c.id(), obs::SyncPhase::ReductionCombine);
     for (NodeId i = 0; i < parties_; ++i) {
       const std::uint64_t l = co_await c.load(local_max_addr(i));
       const std::uint64_t m = co_await c.load(max_);

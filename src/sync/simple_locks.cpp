@@ -10,8 +10,7 @@ TasLock::TasLock(harness::Machine& m, NodeId home, BackoffParams b)
     : lock_(m.alloc().allocate_on(home, mem::kWordSize, "tas.lock")), backoff_(b) {}
 
 sim::Task TasLock::acquire(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockAcquire);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockAcquire);
   Cycle delay = backoff_.initial;
   for (;;) {
     const std::uint64_t old = co_await c.fetch_store(lock_, 1);
@@ -22,8 +21,7 @@ sim::Task TasLock::acquire(cpu::Cpu& c) {
 }
 
 sim::Task TasLock::release(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockRelease);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockRelease);
   co_await c.fence();  // release semantics
   co_await c.store(lock_, 0);
 }
@@ -32,8 +30,7 @@ TtasLock::TtasLock(harness::Machine& m, NodeId home, BackoffParams b)
     : lock_(m.alloc().allocate_on(home, mem::kWordSize, "ttas.lock")), backoff_(b) {}
 
 sim::Task TtasLock::acquire(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockAcquire);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockAcquire);
   Cycle delay = backoff_.initial;
   for (;;) {
     // Test: spin in the cache until the lock looks free (no global traffic
@@ -48,8 +45,7 @@ sim::Task TtasLock::acquire(cpu::Cpu& c) {
 }
 
 sim::Task TtasLock::release(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockRelease);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockRelease);
   co_await c.fence();
   co_await c.store(lock_, 0);
 }

@@ -15,16 +15,14 @@ TicketLock::TicketLock(harness::Machine& m, NodeId home, bool split) {
 }
 
 sim::Task TicketLock::acquire(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockAcquire);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockAcquire);
   const std::uint64_t my = co_await c.fetch_add(next_ticket_addr(), 1);
   co_await c.spin_until(now_serving_addr(),
                         [my](std::uint64_t v) { return v == my; });
 }
 
 sim::Task TicketLock::release(cpu::Cpu& c) {
-  obs::ScopedPhase phase(c.ledger(), c.id(), obs::CycleCat::LockWait,
-                         obs::SyncPhase::LockRelease);
+  obs::ScopedPhase phase(c.ledger(), c.id(), obs::SyncPhase::LockRelease);
   const std::uint64_t now = co_await c.load(now_serving_addr());
   // Release semantics: critical-section writes must be globally performed
   // before the next holder can observe now_serving advance.

@@ -129,6 +129,19 @@ TEST(AppsHybrid, KernelsRunOnHybridMachines) {
   EXPECT_TRUE(apps::run_matmul(Protocol::Hybrid, 4, mat).correct);
 }
 
+TEST(AppsObs, KernelResultCarriesTheProfile) {
+  harness::ObsConfig obs;
+  obs.profile = true;
+  apps::SorParams params;
+  params.sweeps = 4;
+  params.cells_per_proc = 6;
+  const auto r = apps::run_sor(Protocol::WI, 4, params, &obs);
+  ASSERT_TRUE(r.correct);
+  EXPECT_TRUE(r.profile.enabled());
+  EXPECT_TRUE(r.profile.conserved());
+  EXPECT_EQ(r.profile.wall, r.cycles);
+}
+
 TEST(AppsTraffic, PipelineUpdatesAreUseful) {
   // Producer/consumer flag traffic is the best case for update protocols:
   // most updates land exactly where the consumer spins.

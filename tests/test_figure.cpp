@@ -240,4 +240,17 @@ TEST(Cli, EnvDefaultScale) {
   unsetenv("REPRO_SCALE");
 }
 
+TEST(Cli, EnvScaleIsValidated) {
+  setenv("REPRO_SCALE", "0.5x", 1);
+  char prog[] = "bench";
+  char* argv[] = {prog};
+  try {
+    (void)harness::parse_bench_args(1, argv);
+    ADD_FAILURE() << "REPRO_SCALE=0.5x accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("REPRO_SCALE"), std::string::npos) << e.what();
+  }
+  unsetenv("REPRO_SCALE");
+}
+
 } // namespace

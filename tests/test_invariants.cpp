@@ -62,6 +62,11 @@ TEST(InvariantChecker, InjectedSecondWritableCopyFailsTheAudit) {
     EXPECT_NE(msg.find("1:Modified"), std::string::npos)
         << "forged holder missing from the cache listing:\n"
         << msg;
+    // The block's event tail is kept as records and formatted into the report.
+    const std::size_t tail = msg.find("recent events for block:\n");
+    ASSERT_NE(tail, std::string::npos) << msg;
+    EXPECT_NE(msg.find("] cache0 <- DataX addr=0x10000000 from 0\n", tail), std::string::npos)
+        << msg;
   }
 }
 

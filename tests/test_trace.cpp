@@ -1,8 +1,12 @@
-// Structured trace facility: ring buffer behavior, category masking,
+// Structured trace facility: the record ring and its formatted tail,
 // machine integration, and deadlock reports carrying the trace tail.
 #include "ccsim.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -12,40 +16,43 @@ using harness::Machine;
 using harness::MachineConfig;
 using proto::Protocol;
 
+obs::TraceEvent recv(Cycle t, std::uint64_t payload = 0) {
+  net::Message m;
+  m.type = net::MsgType::GetS;
+  m.src = 1;
+  m.addr = 0x10000040;
+  m.payload = payload;
+  return obs::recv_event(obs::TraceCat::Cache, t, 3, m);
+}
+
 TEST(TraceLog, RecordsAndFormats) {
-  sim::TraceLog t;
-  t.log(sim::TraceCat::Cache, 42, "cache%u <- %s", 3u, "GetS");
-  ASSERT_EQ(t.recent().size(), 1u);
-  EXPECT_EQ(t.recent()[0], "t=42 [cache] cache3 <- GetS");
-  EXPECT_EQ(t.total_events(), 1u);
+  obs::TraceLog t;
+  t.event(recv(42));
+  EXPECT_EQ(t.tail(1), "t=42 [cache] cache3 <- GetS addr=0x10000040 from 1\n");
+  t.event(recv(43, 7));
+  EXPECT_EQ(t.tail(1), "t=43 [cache] cache3 <- GetS addr=0x10000040 from 1 pay=7\n");
 }
 
 TEST(TraceLog, RingBounded) {
-  sim::TraceLog t(static_cast<unsigned>(sim::TraceCat::All), 8);
-  for (int i = 0; i < 100; ++i) t.log(sim::TraceCat::Home, i, "ev%d", i);
-  EXPECT_EQ(t.recent().size(), 8u);
-  EXPECT_EQ(t.total_events(), 100u);
-  EXPECT_EQ(t.recent().back(), "t=99 [home] ev99");
-  EXPECT_EQ(t.recent().front(), "t=92 [home] ev92");
-}
-
-TEST(TraceLog, CategoryMasking) {
-  sim::TraceLog t(static_cast<unsigned>(sim::TraceCat::Home));
-  t.log(sim::TraceCat::Cache, 1, "hidden");
-  t.log(sim::TraceCat::Home, 2, "visible");
-  ASSERT_EQ(t.recent().size(), 1u);
-  EXPECT_EQ(t.recent()[0], "t=2 [home] visible");
-  // Masked events are suppressed from the ring but still counted.
-  EXPECT_EQ(t.total_events(), 2u);
-  EXPECT_TRUE(t.on(sim::TraceCat::Home));
-  EXPECT_FALSE(t.on(sim::TraceCat::Cache));
+  obs::TraceLog t;
+  constexpr std::size_t kPushed = obs::TraceLog::kRing + 88;
+  for (std::size_t i = 0; i < kPushed; ++i) t.event(recv(i));
+  std::istringstream lines(t.tail(kPushed));
+  std::vector<std::string> kept;
+  for (std::string line; std::getline(lines, line);) kept.push_back(line);
+  ASSERT_EQ(kept.size(), obs::TraceLog::kRing);
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    EXPECT_EQ(kept[i].rfind("t=" + std::to_string(88 + i) + " ", 0), 0u) << kept[i];
 }
 
 TEST(TraceLog, TailJoinsLastN) {
-  sim::TraceLog t;
-  for (int i = 0; i < 5; ++i) t.log(sim::TraceCat::Cpu, i, "e%d", i);
-  EXPECT_EQ(t.tail(2), "t=3 [cpu] e3\nt=4 [cpu] e4\n");
+  obs::TraceLog t;
+  for (Cycle i = 0; i < 5; ++i) t.event(recv(i));
+  EXPECT_EQ(t.tail(2),
+            "t=3 [cache] cache3 <- GetS addr=0x10000040 from 1\n"
+            "t=4 [cache] cache3 <- GetS addr=0x10000040 from 1\n");
   EXPECT_EQ(t.tail(100), t.tail(5));
+  EXPECT_EQ(obs::TraceLog().tail(3), "");
 }
 
 TEST(TraceMachine, DisabledByDefault) {
@@ -67,7 +74,6 @@ TEST(TraceMachine, CapturesProtocolEvents) {
       (void)co_await c.load(a);
     }});
     ASSERT_NE(m.trace(), nullptr);
-    EXPECT_GT(m.trace()->total_events(), 0u);
     // Both sides of the protocol show up.
     const std::string all = m.trace()->tail(1000);
     EXPECT_NE(all.find("home1 <-"), std::string::npos) << proto::to_string(p);
