@@ -149,12 +149,12 @@ Cycle Machine::run(const std::vector<Program>& programs) {
     drained = q_.run_until(cfg_.max_cycles);
   }
   for (auto& p : procs_) p->rethrow_if_failed();
-  if (remaining != 0) {
-    throw DeadlockError(diagnose(
-        drained ? "event queue drained with programs waiting (lost wakeup?)"
-                : "simulated time exceeded max_cycles",
-        remaining, programs.size()));
-  }
+  if (remaining != 0 && drained)
+    throw DeadlockError(diagnose("event queue drained with programs waiting (lost wakeup?)",
+                                 remaining, programs.size()));
+  if (remaining != 0)
+    throw BudgetError(
+        diagnose("simulated time exceeded max_cycles", remaining, programs.size()));
   if (checker_) {
     obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
     checker_->final_audit();
@@ -240,9 +240,9 @@ obs::ProfileSnapshot Machine::profile() const {
   if (!ledger_) return {};
   obs::ProfileSnapshot s = ledger_->snapshot();
   for (const auto& n : nodes_) {
-    const mem::WriteBuffer& wb = n->cache_ctrl().write_buffer();
-    s.wb_peak = std::max<std::uint64_t>(s.wb_peak, wb.peak());
-    s.wb_pushes += wb.pushes();
+    const proto::WriteBufferUse wb = n->cache_ctrl().write_buffer_use();
+    s.wb_peak = std::max(s.wb_peak, wb.peak);
+    s.wb_pushes += wb.pushes;
   }
   return s;
 }

@@ -31,13 +31,21 @@
 namespace ccsim::harness {
 
 /// The run stopped making forward progress: the event queue drained with
-/// programs still waiting (lost wakeup), no processor completed a memory
-/// operation for watchdog_stall_cycles (livelock), or simulated time passed
-/// max_cycles. what() carries the full diagnostic dump: stuck processors,
-/// per-node in-flight messages and controller occupancy, and the trace tail.
+/// programs still waiting (lost wakeup), or no processor completed a
+/// memory operation for watchdog_stall_cycles (livelock). what() carries
+/// the full diagnostic dump: stuck processors, per-node in-flight messages
+/// and controller occupancy, and the trace tail.
 class DeadlockError : public std::runtime_error {
 public:
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Simulated time passed max_cycles with programs unfinished. The run may
+/// still have been progressing; what() carries the same dump as
+/// DeadlockError.
+class BudgetError : public std::runtime_error {
+public:
+  explicit BudgetError(const std::string& what) : std::runtime_error(what) {}
 };
 
 /// Observability attachments. Everything here is off by default: with the
@@ -88,7 +96,7 @@ struct MachineConfig {
   net::Network::Params net{};
   /// Hybrid machines: protocol for regions without a bind_protocol tag.
   proto::Protocol hybrid_default = proto::Protocol::WI;
-  /// Abort the run if simulated time exceeds this (deadlock backstop).
+  /// Stop the run with BudgetError if simulated time exceeds this.
   Cycle max_cycles = 4'000'000'000ULL;
   /// Watchdog: throw DeadlockError if no processor completes a memory
   /// operation for this many simulated cycles (0 = off). think() cycles do

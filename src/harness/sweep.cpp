@@ -27,6 +27,7 @@ std::string_view to_string(SweepResult::FailKind k) noexcept {
   switch (k) {
     case SweepResult::FailKind::None: return "none";
     case SweepResult::FailKind::Deadlock: return "deadlock";
+    case SweepResult::FailKind::Budget: return "budget";
     case SweepResult::FailKind::Invariant: return "invariant";
     case SweepResult::FailKind::Other: return "other";
   }
@@ -57,6 +58,9 @@ SweepResult run_sweep_job(const SweepJob& job) {
     r.ok = true;
   } catch (const DeadlockError& e) {
     r.fail = SweepResult::FailKind::Deadlock;
+    r.error = e.what();
+  } catch (const BudgetError& e) {
+    r.fail = SweepResult::FailKind::Budget;
     r.error = e.what();
   } catch (const obs::InvariantViolation& e) {
     r.fail = SweepResult::FailKind::Invariant;

@@ -73,10 +73,11 @@ struct SweepJob {
 struct SweepResult {
   std::string name;
   bool ok = false;
-  /// What kind of failure a !ok cell is: a watchdog/deadlock trip, a
-  /// coherence-invariant violation, or any other exception. Callers (the
-  /// ccstress/ccsweep tools) map these to distinct exit codes.
-  enum class FailKind : std::uint8_t { None, Deadlock, Invariant, Other };
+  /// What kind of failure a !ok cell is: a watchdog/deadlock trip, a run
+  /// that outlived its max_cycles budget, a coherence-invariant violation,
+  /// or any other exception. Callers (the ccstress/ccsweep tools) map
+  /// these to distinct exit codes.
+  enum class FailKind : std::uint8_t { None, Deadlock, Budget, Invariant, Other };
   FailKind fail = FailKind::None;
   std::string error;  ///< exception text when !ok
   RunResult run;      ///< valid only when ok

@@ -40,7 +40,7 @@ Network::Network(sim::EventQueue& q, MeshTopology topo, Params params,
       inject_free_(topo.count(), 0),
       eject_free_(topo.count(), 0),
       link_free_(params.link_contention
-                     ? static_cast<std::size_t>(topo.count()) * topo.count()
+                     ? static_cast<std::size_t>(topo.positions()) * topo.positions()
                      : 0,
                  0),
       local_last_(topo.count(), 0),
@@ -110,7 +110,7 @@ void Network::send(const Message& msg) {
     NodeId at = msg.src;
     while (at != msg.dst) {
       const NodeId next = topo_.next_hop(at, msg.dst);
-      Cycle& busy = link_free_[static_cast<std::size_t>(at) * topo_.count() + next];
+      Cycle& busy = link_free_[static_cast<std::size_t>(at) * topo_.positions() + next];
       head = std::max(head + params_.switch_delay, busy);
       busy = head + flits;
       at = next;

@@ -98,8 +98,8 @@ private:
   std::vector<MessageSink*> sinks_;
   std::vector<Cycle> inject_free_;
   std::vector<Cycle> eject_free_;
-  /// link_contention: busy-until per directed link, indexed
-  /// [from * count + to-of-adjacent-hop].
+  /// link_contention: busy-until per directed link between switch
+  /// positions, indexed [from * positions + to-of-adjacent-hop].
   std::vector<Cycle> link_free_;
   /// Jittered local (src == dst) messages clamp to the previous local
   /// delivery at the node so same-pair FIFO survives the perturbation.

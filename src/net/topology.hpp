@@ -23,6 +23,9 @@ public:
   MeshTopology(unsigned x, unsigned y);
 
   [[nodiscard]] unsigned count() const noexcept { return count_; }
+  /// Switch positions, x * y: routes out of a partly filled last row pass
+  /// positions >= count() that hold no node.
+  [[nodiscard]] unsigned positions() const noexcept { return x_ * y_; }
   [[nodiscard]] unsigned dim_x() const noexcept { return x_; }
   [[nodiscard]] unsigned dim_y() const noexcept { return y_; }
 

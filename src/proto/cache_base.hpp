@@ -1,6 +1,8 @@
-// Machinery shared by the WI and update-based cache controllers:
-// private (non-coherent) memory, write-buffer acceptance and drain
-// scheduling, fence bookkeeping, and the common load path.
+// Machinery shared by the WI and update-based cache controllers: the
+// cache and write buffer, private (non-coherent) memory, write-buffer
+// acceptance and drain scheduling, fence bookkeeping, the load path, the
+// MSHR table of outstanding block transactions, fills and evictions, and
+// flushes.
 #pragma once
 
 #include "proto/protocol.hpp"
@@ -13,24 +15,43 @@ namespace ccsim::proto {
 
 class BaseCacheController : public CacheController {
 public:
-  using CacheController::CacheController;
+  BaseCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
+                      std::size_t wb_entries)
+      : CacheController(id, ctx), cache_(cache_bytes), wb_(wb_entries) {}
 
   void cpu_load(Addr a, std::size_t size, LoadCallback done) override;
   void cpu_store(Addr a, std::size_t size, std::uint64_t v, DoneCallback done) override;
   void cpu_fence(DoneCallback done) override;
+  void cpu_flush(Addr a, DoneCallback done) override;
 
+  [[nodiscard]] mem::DataCache& cache() noexcept override { return cache_; }
+  [[nodiscard]] WriteBufferUse write_buffer_use() const override {
+    return {wb_.peak(), wb_.pushes()};
+  }
   [[nodiscard]] CacheDebug debug_state() const override {
     return {wb_.size(), mshr_count(), pending_acks_, outstanding_};
   }
 
 protected:
+  struct LoadWaiter {
+    Addr addr;
+    std::size_t size;
+    LoadCallback done;
+  };
+  /// One outstanding block transaction (an MSHR): the loads its fill
+  /// satisfies and the work it stalls (write-buffer drains, atomics,
+  /// fills that would evict its line), replayed when it completes.
+  struct Txn {
+    std::vector<LoadWaiter> loads;
+    std::vector<std::function<void()>> retries;
+    bool inval_on_fill = false;  ///< an Inval overtook the fill (WI)
+    Addr inval_trigger = 0;
+  };
+
   /// Outstanding block transactions, for watchdog diagnostics.
-  [[nodiscard]] virtual std::size_t mshr_count() const { return 0; }
+  [[nodiscard]] virtual std::size_t mshr_count() const { return txns_.size(); }
 
   // --- hooks the concrete protocols implement ------------------------
-
-  /// Handle a load that missed in the cache (shared address, no forward).
-  virtual void handle_load_miss(Addr a, std::size_t size, LoadCallback done) = 0;
 
   /// Process the write at the head of the write buffer. Must eventually
   /// call entry_done().
@@ -40,11 +61,23 @@ protected:
   /// competitive-update counter resets on local references).
   virtual void on_cache_hit(mem::CacheLine& l, Addr a) { (void)l, (void)a; }
 
+  /// Drop `line` from the cache, writing it back if dirty.
+  virtual void evict(mem::CacheLine& line);
+
   // --- services for subclasses ----------------------------------------
 
   void send(net::Message m) {
     m.src = id_;
     ctx_.net.send(m);
+  }
+
+  /// A message of `type` about `a`, addressed to the home of its block.
+  [[nodiscard]] net::Message to_home(net::MsgType type, Addr a) const {
+    net::Message m;
+    m.type = type;
+    m.dst = ctx_.alloc.home_of(mem::block_of(a));
+    m.addr = a;
+    return m;
   }
 
   /// The full word of our cached copy containing `a` (observer hooks).
@@ -68,6 +101,46 @@ protected:
       }
     });
   }
+
+  /// Join b's outstanding transaction, or open one. Returns true if it
+  /// opened one: the caller then sends the request.
+  bool open_txn(mem::BlockAddr b, LoadWaiter w) {
+    auto [it, opened] = txns_.try_emplace(b);
+    it->second.loads.push_back(std::move(w));
+    return opened;
+  }
+  bool open_txn(mem::BlockAddr b, std::function<void()> retry) {
+    auto [it, opened] = txns_.try_emplace(b);
+    it->second.retries.push_back(std::move(retry));
+    return opened;
+  }
+
+  /// Fetch a shared copy of `a`'s block (load miss or write-allocate):
+  /// join its transaction, or count the miss and send GetS. A load that
+  /// joins an outstanding fetch is not a new miss.
+  template <class Waiter>
+  void fetch_shared(Addr a, Waiter w) {
+    if (!open_txn(mem::block_of(a), std::move(w))) return;
+    ctx_.misses.classify_miss(id_, a);
+    send(to_home(net::MsgType::GetS, a));
+  }
+
+  /// b's transaction is done: its loads complete one hit-latency from now
+  /// (reading the line then), its retries run next cycle, and an
+  /// invalidation that overtook the fill takes the line.
+  void complete_txn(mem::BlockAddr b);
+
+  /// A fill may not evict a line with its own transaction outstanding (a
+  /// grant would arrive for a line we no longer hold): park `msg` on the
+  /// victim's transaction and return true.
+  bool fill_blocked(const net::Message& msg);
+
+  /// Invalidate `l`; `trigger` is the written word that caused it.
+  void invalidate_line(mem::CacheLine& l, Addr trigger);
+
+  /// Install `data` as block `b` in `state`, evicting the set's victim.
+  void fill(mem::BlockAddr b, const std::array<std::byte, mem::kBlockSize>& data,
+            mem::LineState state);
 
   /// The head write-buffer entry retired: pop it, admit a stalled store,
   /// and keep draining.
@@ -106,8 +179,11 @@ protected:
     return wb_pending_.contains(b);
   }
 
+  mem::DataCache cache_;
+  mem::WriteBuffer wb_;
   std::unordered_map<Addr, std::uint64_t> private_mem_;
   std::unordered_map<mem::BlockAddr, int> wb_pending_;
+  std::unordered_map<mem::BlockAddr, Txn> txns_;
 
   /// Coherence acknowledgements still owed to this node's earlier writes.
   /// May transiently go negative when an ack overtakes the message that

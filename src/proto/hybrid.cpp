@@ -2,6 +2,7 @@
 
 #include "sim/check.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ccsim::proto {
@@ -46,8 +47,7 @@ std::size_t engine_index(Protocol p) {
 HybridCacheController::HybridCacheController(NodeId id, ProtocolContext& ctx,
                                              std::size_t cache_bytes,
                                              std::size_t wb_entries)
-    : CacheController(id, ctx, /*own (unused) cache:*/ mem::kBlockSize * 2,
-                      wb_entries) {
+    : CacheController(id, ctx) {
   engines_[0] = make_cache_controller(Protocol::WI, id, ctx, cache_bytes, wb_entries);
   engines_[1] = make_cache_controller(Protocol::PU, id, ctx, cache_bytes, wb_entries);
   engines_[2] = make_cache_controller(Protocol::CU, id, ctx, cache_bytes, wb_entries);
@@ -59,9 +59,23 @@ CacheController& HybridCacheController::engine_for(Addr a) {
   return *engines_[engine_index(p)];
 }
 
+mem::DataCache& HybridCacheController::cache() noexcept {
+  return engines_[engine_index(ctx_.hybrid_default)]->cache();
+}
+
 mem::DataCache& HybridCacheController::cache_for(mem::BlockAddr b) noexcept {
   const Protocol p = domain_protocol(ctx_.alloc.domain_of(b), ctx_.hybrid_default);
   return engines_[engine_index(p)]->cache_for(b);
+}
+
+WriteBufferUse HybridCacheController::write_buffer_use() const {
+  WriteBufferUse u;
+  for (const auto& e : engines_) {
+    const WriteBufferUse eu = e->write_buffer_use();
+    u.peak = std::max(u.peak, eu.peak);
+    u.pushes += eu.pushes;
+  }
+  return u;
 }
 
 void HybridCacheController::cpu_load(Addr a, std::size_t size, LoadCallback done) {

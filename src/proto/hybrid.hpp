@@ -42,7 +42,9 @@ public:
   void cpu_flush(Addr a, DoneCallback done) override;
   void on_message(const net::Message& msg) override;
 
+  [[nodiscard]] mem::DataCache& cache() noexcept override;
   [[nodiscard]] mem::DataCache& cache_for(mem::BlockAddr b) noexcept override;
+  [[nodiscard]] WriteBufferUse write_buffer_use() const override;
 
   [[nodiscard]] CacheDebug debug_state() const override {
     CacheDebug d;
@@ -70,6 +72,10 @@ public:
 
   [[nodiscard]] mem::MemoryModule& memory_for(mem::BlockAddr b) noexcept override;
   [[nodiscard]] mem::Directory& directory_for(mem::BlockAddr b) noexcept override;
+
+protected:
+  /// Never called: requests go to the engines, which hold their own blocks.
+  void serve(const net::Message&) override {}
 
 private:
   [[nodiscard]] HomeController& engine_for(Addr a);

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 namespace ccsim::obs {
 class HostPerfCollector;
@@ -77,6 +79,11 @@ struct ProtocolContext {
   Consistency consistency = Consistency::Release;
   /// Hybrid machines: protocol for blocks whose domain id is 0.
   Protocol hybrid_default = Protocol::WI;
+
+  /// Trace a controller at `node` handling `msg`.
+  void trace_recv(obs::TraceCat cat, NodeId node, const net::Message& msg) const {
+    if (trace) trace->event(obs::recv_event(cat, q.now(), node, msg));
+  }
 };
 
 /// Point-in-time occupancy of a cache controller's queues, reported in
@@ -86,6 +93,12 @@ struct CacheDebug {
   std::size_t mshr = 0;         ///< outstanding block transactions
   std::int64_t pending_acks = 0;///< coherence acks a fence would wait for
   int outstanding = 0;          ///< granted-but-unacknowledged operations
+};
+
+/// A node's write-buffer use over a run (Machine::profile).
+struct WriteBufferUse {
+  std::uint64_t peak = 0;    ///< deepest occupancy of any of the node's buffers
+  std::uint64_t pushes = 0;  ///< stores accepted, summed over its buffers
 };
 
 /// Processor-side controller: cache + write buffer + protocol engine.
@@ -99,9 +112,7 @@ public:
   using LoadCallback = std::function<void(std::uint64_t)>;
   using DoneCallback = std::function<void()>;
 
-  explicit CacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-                           std::size_t wb_entries)
-      : id_(id), ctx_(ctx), cache_(cache_bytes), wb_(wb_entries) {}
+  CacheController(NodeId id, ProtocolContext& ctx) : id_(id), ctx_(ctx) {}
   virtual ~CacheController() = default;
 
   virtual void cpu_load(Addr a, std::size_t size, LoadCallback done) = 0;
@@ -118,27 +129,29 @@ public:
   virtual void on_message(const net::Message& msg) = 0;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] mem::DataCache& cache() noexcept { return cache_; }
-  /// The cache that holds (or would hold) `b` -- hybrid controllers
-  /// dispatch to the owning protocol's cache; plain ones return cache().
+  /// The node's cache. A hybrid node has one per protocol engine and
+  /// returns the one serving its default domain.
+  [[nodiscard]] virtual mem::DataCache& cache() noexcept = 0;
+  /// The cache that holds (or would hold) `b`.
   [[nodiscard]] virtual mem::DataCache& cache_for(mem::BlockAddr) noexcept {
-    return cache_;
+    return cache();
   }
-  [[nodiscard]] const mem::WriteBuffer& write_buffer() const noexcept { return wb_; }
+  [[nodiscard]] virtual WriteBufferUse write_buffer_use() const = 0;
 
   /// Queue occupancy snapshot for watchdog/deadlock diagnostics.
-  [[nodiscard]] virtual CacheDebug debug_state() const {
-    return {wb_.size(), 0, 0, 0};
-  }
+  [[nodiscard]] virtual CacheDebug debug_state() const = 0;
 
 protected:
   NodeId id_;
   ProtocolContext& ctx_;
-  mem::DataCache cache_;
-  mem::WriteBuffer wb_;
 };
 
-/// Home-side controller: directory + memory bank + protocol engine.
+/// Home-side controller: directory + memory bank + protocol engine, and
+/// the per-block serialization every engine shares: while a block is
+/// held by a transaction that cannot finish yet (a WI forward or
+/// exclusive grant, a PU recall, a wait for the owner's writeback), later
+/// requests for it park and are served in arrival order once it is
+/// released.
 class HomeController {
 public:
   HomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings)
@@ -159,11 +172,65 @@ public:
   }
 
 protected:
+  /// A held block.
+  struct Hold {
+    net::Message req;                  ///< the request holding the block
+    std::vector<net::Message> parked;  ///< later requests, in arrival order
+    bool waiting_wb = false;           ///< resume when the owner's Writeback lands
+    bool wb_processed = false;         ///< a Writeback landed while held
+  };
+
+  /// Serve the request that starts a block transaction. It completes at
+  /// once or calls hold().
+  virtual void serve(const net::Message& req) = 0;
+
+  /// A transaction request arrived: serve it, or park it if its block is
+  /// held.
+  void admit(const net::Message& req);
+  /// `req` cannot complete yet: hold its block, which must not be held
+  /// already, until replay() or close().
+  Hold& hold(const net::Message& req);
+  [[nodiscard]] Hold* held(mem::BlockAddr b) {
+    auto it = holds_.find(b);
+    return it == holds_.end() ? nullptr : &it->second;
+  }
+  /// Release `b` and serve the holding request again, then the parked
+  /// ones in arrival order, until one holds the block again.
+  void replay(mem::BlockAddr b) { release(b, true); }
+  /// The holding request finished: release `b` and serve the parked ones.
+  void close(mem::BlockAddr b);
+
+  void send_from(net::Message m) {
+    m.src = id_;
+    ctx_.net.send(m);
+  }
+  /// Send `m` once the memory bank is done at `ready`. A reply carrying
+  /// the block reads memory then: a write absorbed between dispatch and
+  /// the bank completing must be in the data, since the requester is
+  /// already in the sharer set.
+  void reply_at(Cycle ready, net::Message m);
+  /// Send `m` to every sharer in `e` but `skip`; returns how many went.
+  /// Invalidations are reported to the observers as they go.
+  unsigned multicast(const mem::DirEntry& e, net::Message m, NodeId skip);
+  /// Write a Writeback's block to memory, acknowledge it, and resume a
+  /// transaction held until it landed. The caller updates the directory.
+  void absorb_writeback(const net::Message& wb);
+
   NodeId id_;
   ProtocolContext& ctx_;
   mem::MemoryModule memory_;
   mem::Directory dir_;
+
+private:
+  void release(mem::BlockAddr b, bool serve_holder);
+
+  std::unordered_map<mem::BlockAddr, Hold> holds_;
 };
+
+/// The word an atomic leaves behind when it reads `old`; `wrote` is false
+/// when it leaves `old` (a failed compare-and-swap).
+[[nodiscard]] std::uint64_t apply_atomic(net::AtomicOp op, std::uint64_t old,
+                                         std::uint64_t v1, std::uint64_t v2, bool& wrote);
 
 /// True if `t` is addressed to the home (directory/memory) side of a node.
 [[nodiscard]] bool is_home_bound(net::MsgType t) noexcept;

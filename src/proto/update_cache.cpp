@@ -10,70 +10,14 @@ namespace ccsim::proto {
 using net::Message;
 using net::MsgType;
 
-// ---------------------------------------------------------------------
-// loads
-// ---------------------------------------------------------------------
-
-void UpdateCacheController::handle_load_miss(Addr a, std::size_t size, LoadCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  if (auto it = txns_.find(b); it != txns_.end()) {
-    it->second.loads.push_back({a, size, std::move(done)});
-    return;
-  }
-  ctx_.misses.classify_miss(id_, a);
-  txns_[b].loads.push_back({a, size, std::move(done)});
-
-  Message m;
-  m.type = MsgType::GetS;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = a;
-  send(m);
-}
-
-void UpdateCacheController::fill(mem::BlockAddr b,
-                                 const std::array<std::byte, mem::kBlockSize>& data) {
-  mem::CacheLine& line = cache_.set_for(b);
-  if (line.valid() && line.block != b) evict_line(line, /*flushing=*/false);
-  line.block = b;
-  line.state = mem::LineState::ValidU;
-  line.data = data;
-  line.cu_counter = 0;
-  ctx_.misses.on_fill(id_, b);
-  cache_.notify(b);
-
-  auto it = txns_.find(b);
-  if (it == txns_.end()) return;
-  Txn t = std::move(it->second);
-  txns_.erase(it);
-  for (auto& w : t.loads) complete_load_later(w.addr, w.size, std::move(w.done));
-  for (auto& r : t.retries) ctx_.q.schedule(1, std::move(r));
-}
-
-void UpdateCacheController::evict_line(mem::CacheLine& line, bool flushing) {
+void UpdateCacheController::evict(mem::CacheLine& line) {
   const mem::BlockAddr b = line.block;
-  Message m;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = mem::block_base(b);
-  if (line.state == mem::LineState::PrivateDirty) {
-    m.type = MsgType::Writeback;
-    m.flag = false;  // evicting: drop me from the sharing set
-    m.has_block = true;
-    m.block = line.data;
-    note_writeback_sent(b);
-  } else {
-    m.type = MsgType::ReplHint;
-  }
-  send(m);
-  ctx_.misses.on_evicted(id_, b);
-  ctx_.updates.on_block_replaced(id_, b);
-  line.state = mem::LineState::Invalid;
-  cache_.notify(b);
-  if (atomic_.active && mem::block_of(atomic_.addr) == b) atomic_.fill_ok = false;
-  (void)flushing;
+  BaseCacheController::evict(line);
+  lost_copy(b);
 }
 
 // ---------------------------------------------------------------------
-// stores: write through to the home, no allocate on miss
+// stores: write through to the home, allocate on a miss
 // ---------------------------------------------------------------------
 
 void UpdateCacheController::drain_head() {
@@ -83,9 +27,7 @@ void UpdateCacheController::drain_head() {
     entry_done();
     return;
   }
-  const mem::BlockAddr b = mem::block_of(e.addr);
-  mem::CacheLine* line = cache_.find(b);
-
+  mem::CacheLine* line = cache_.find(mem::block_of(e.addr));
   if (line && line->state == mem::LineState::PrivateDirty) {
     // Retained-update mode: the home asked us to keep updates local.
     ++ctx_.counters.mem.write_hits;
@@ -102,18 +44,7 @@ void UpdateCacheController::drain_head() {
     // Write-allocate: fetch the block first, then write through. The
     // writer stays a sharer afterwards, receiving updates for every later
     // modification of the block until it drops or flushes the copy.
-    const mem::BlockAddr wb = mem::block_of(e.addr);
-    if (auto it = txns_.find(wb); it != txns_.end()) {
-      it->second.retries.push_back([this] { drain_head(); });
-      return;
-    }
-    ctx_.misses.classify_miss(id_, e.addr);
-    txns_[wb].retries.push_back([this] { drain_head(); });
-    Message g;
-    g.type = MsgType::GetS;
-    g.dst = ctx_.alloc.home_of(wb);
-    g.addr = e.addr;
-    send(g);
+    fetch_shared(e.addr, [this] { drain_head(); });
     return;
   }
   // Keep our own copy fresh; the global store is performed at the home.
@@ -121,10 +52,7 @@ void UpdateCacheController::drain_head() {
   cache_.write(e.addr, e.size, e.value);
   line->cu_counter = 0;
   for (obs::Observer* o : ctx_.observers) o->on_local_write(id_, e.addr, word_at(e.addr));
-  Message m;
-  m.type = MsgType::UpdateReq;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = e.addr;
+  Message m = to_home(MsgType::UpdateReq, e.addr);
   m.payload = e.value;
   m.payload2 = e.size;
   send(m);
@@ -153,10 +81,7 @@ void UpdateCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v
         line && line->state == mem::LineState::PrivateDirty) {
       // Give the dirty copy back first so the home operates on fresh data.
       // FIFO delivery guarantees the Writeback precedes the AtomicReq.
-      Message wb;
-      wb.type = MsgType::Writeback;
-      wb.dst = ctx_.alloc.home_of(b);
-      wb.addr = mem::block_base(b);
+      Message wb = to_home(MsgType::Writeback, mem::block_base(b));
       wb.flag = true;  // demote: we keep a ValidU copy
       wb.has_block = true;
       wb.block = line->data;
@@ -165,34 +90,12 @@ void UpdateCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v
       line->state = mem::LineState::ValidU;
     }
     atomic_ = PendingAtomic{op, a, v1, v2, std::move(done), true, true};
-    Message m;
-    m.type = MsgType::AtomicReq;
-    m.dst = ctx_.alloc.home_of(mem::block_of(a));
-    m.addr = a;
+    Message m = to_home(MsgType::AtomicReq, a);
     m.op = op;
     m.payload = v1;
     m.payload2 = v2;
     send(m);
   });
-}
-
-// ---------------------------------------------------------------------
-// flush
-// ---------------------------------------------------------------------
-
-void UpdateCacheController::cpu_flush(Addr a, DoneCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  // The flush takes effect after program-order-earlier stores to the block
-  // have been performed (a queued store would otherwise re-fetch the block
-  // via write-allocate right after we dropped it).
-  if (wb_.contains_block(b) || txns_.contains(b)) {
-    ctx_.q.schedule(1, [this, a, done = std::move(done)]() mutable {
-      cpu_flush(a, std::move(done));
-    });
-    return;
-  }
-  if (mem::CacheLine* line = cache_.find(b)) evict_line(*line, /*flushing=*/true);
-  ctx_.q.schedule(kHitCycles, std::move(done));
 }
 
 // ---------------------------------------------------------------------
@@ -225,12 +128,8 @@ void UpdateCacheController::apply_update(const Message& msg) {
     ctx_.misses.on_dropped(id_, b);
     line->state = mem::LineState::Invalid;
     cache_.notify(b);
-    if (atomic_.active && mem::block_of(atomic_.addr) == b) atomic_.fill_ok = false;
-    Message prune;
-    prune.type = MsgType::Prune;
-    prune.dst = ctx_.alloc.home_of(b);
-    prune.addr = mem::block_base(b);
-    send(prune);
+    lost_copy(b);
+    send(to_home(MsgType::Prune, mem::block_base(b)));
     send(ack);
     return;
   }
@@ -245,26 +144,16 @@ void UpdateCacheController::apply_update(const Message& msg) {
 
 void UpdateCacheController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-
-  // MSHR conflict: a fill must not evict a line whose own transaction is
-  // outstanding; stall it until that transaction completes (defensive --
-  // under the update protocols a valid line cannot have a transaction,
-  // but the atomic-reply fill path shares this dispatch).
-  if (msg.type == MsgType::DataS || msg.type == MsgType::AtomicReply) {
-    const mem::CacheLine& victim = cache_.set_for(b);
-    if (victim.valid() && victim.block != b) {
-      if (auto it = txns_.find(victim.block); it != txns_.end()) {
-        it->second.retries.push_back([this, msg] { on_message(msg); });
-        return;
-      }
-    }
-  }
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Cache, ctx_.q.now(), id_, msg));
+  // Under the update protocols a valid line cannot have a transaction,
+  // but the atomic-reply fill shares the MSHR-conflict check.
+  if ((msg.type == MsgType::DataS || msg.type == MsgType::AtomicReply) &&
+      fill_blocked(msg))
+    return;
+  ctx_.trace_recv(obs::TraceCat::Cache, id_, msg);
   switch (msg.type) {
     case MsgType::DataS:
-      fill(b, msg.block);
+      fill(b, msg.block, mem::LineState::ValidU);
+      complete_txn(b);
       break;
 
     case MsgType::Update:
@@ -294,10 +183,7 @@ void UpdateCacheController::on_message(const Message& msg) {
 
     case MsgType::Recall: {
       mem::CacheLine* line = cache_.find(b);
-      Message r;
-      r.type = MsgType::RecallReply;
-      r.dst = ctx_.alloc.home_of(b);
-      r.addr = mem::block_base(b);
+      Message r = to_home(MsgType::RecallReply, mem::block_base(b));
       if (line) {
         r.flag = false;
         r.has_block = true;
@@ -336,7 +222,7 @@ void UpdateCacheController::on_message(const Message& msg) {
         // reply carries the block, and the home made us a sharer. The
         // fetch counts as a miss (cold / drop / eviction by history).
         ctx_.misses.classify_miss(id_, pa.addr);
-        fill(ab, msg.block);
+        fill(ab, msg.block, mem::LineState::ValidU);
       }
       check_fences();
       ctx_.q.schedule(kHitCycles, [done = std::move(pa.done), old] { done(old); });

@@ -25,10 +25,6 @@
 
 #include "proto/cache_base.hpp"
 
-#include <deque>
-#include <unordered_map>
-#include <vector>
-
 namespace ccsim::proto {
 
 class UpdateCacheController final : public BaseCacheController {
@@ -40,27 +36,17 @@ public:
 
   void cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                   LoadCallback done) override;
-  void cpu_flush(Addr a, DoneCallback done) override;
   void on_message(const net::Message& msg) override;
 
 protected:
-  void handle_load_miss(Addr a, std::size_t size, LoadCallback done) override;
   void drain_head() override;
   void on_cache_hit(mem::CacheLine& l, Addr a) override { (void)a; l.cu_counter = 0; }
+  void evict(mem::CacheLine& line) override;
   [[nodiscard]] std::size_t mshr_count() const override {
     return txns_.size() + (atomic_.active ? 1 : 0);
   }
 
 private:
-  struct LoadWaiter {
-    Addr addr;
-    std::size_t size;
-    LoadCallback done;
-  };
-  struct Txn {
-    std::vector<LoadWaiter> loads;
-    std::vector<std::function<void()>> retries;  ///< write-allocate drains
-  };
   struct PendingAtomic {
     net::AtomicOp op{};
     Addr addr = 0;
@@ -74,12 +60,13 @@ private:
     bool fill_ok = true;
   };
 
-  void fill(mem::BlockAddr b, const std::array<std::byte, mem::kBlockSize>& data);
-  void evict_line(mem::CacheLine& line, bool flushing);
   void apply_update(const net::Message& msg);
+  /// Our copy of `b` is gone: an atomic in flight for it must not fill.
+  void lost_copy(mem::BlockAddr b) {
+    if (atomic_.active && mem::block_of(atomic_.addr) == b) atomic_.fill_ok = false;
+  }
 
   unsigned drop_threshold_;  ///< 0 disables competitive drops (PU)
-  std::unordered_map<mem::BlockAddr, Txn> txns_;
   PendingAtomic atomic_;
 };
 
@@ -91,29 +78,23 @@ public:
 
   void on_message(const net::Message& msg) override;
 
-private:
-  /// A block mid-recall: requests queue here until the owner gives the
-  /// block back (RecallReply or its racing Writeback).
-  struct Pending {
-    std::deque<net::Message> queued;
-    bool waiting_wb = false;  ///< owner evicted; waiting for its Writeback
-  };
+protected:
+  void serve(const net::Message& req) override;
 
-  void process(const net::Message& msg);
+private:
   void serve_gets(const net::Message& msg);
   void serve_update(const net::Message& msg);
   void serve_atomic(const net::Message& msg);
-  void start_recall(mem::BlockAddr b, const net::Message& first);
-  void replay(mem::BlockAddr b);
-  void multicast_update(mem::BlockAddr b, Addr word_addr, std::uint64_t value,
-                        std::size_t size, NodeId writer, unsigned& count);
-  void send_from(net::Message m) {
-    m.src = id_;
-    ctx_.net.send(m);
-  }
+  /// A request found its block Private: wait for the owner's writeback if
+  /// the owner sent it, else recall the block from the owner.
+  void hold_private(const mem::DirEntry& e, const net::Message& req);
+  /// Send `msg.src` an UpdateGrant for `count` acks (and private mode).
+  void grant(const net::Message& msg, unsigned count, bool make_private);
+  /// Update every sharer but `writer`; returns how many updates went.
+  unsigned multicast_update(const mem::DirEntry& e, Addr word_addr, std::uint64_t value,
+                            std::size_t size, NodeId writer);
 
   bool enable_private_;
-  std::unordered_map<mem::BlockAddr, Pending> pending_;
 };
 
 } // namespace ccsim::proto

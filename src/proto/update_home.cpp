@@ -14,19 +14,12 @@ using mem::DirState;
 
 void UpdateHomeController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Home, ctx_.q.now(), id_, msg));
+  ctx_.trace_recv(obs::TraceCat::Home, id_, msg);
   switch (msg.type) {
     case MsgType::GetS:
     case MsgType::UpdateReq:
     case MsgType::AtomicReq:
-      for (obs::Observer* o : ctx_.observers) o->on_home_txn(b);
-      if (pending_.contains(b)) {
-        pending_[b].queued.push_back(msg);
-        return;
-      }
-      process(msg);
+      admit(msg);
       return;
 
     case MsgType::Prune:
@@ -40,7 +33,7 @@ void UpdateHomeController::on_message(const Message& msg) {
         // current, so dissolve private mode and release anything parked.
         e.state = e.sharers == 0 ? DirState::Unowned : DirState::Update;
         e.owner = kInvalidNode;
-        if (pending_.contains(b)) replay(b);
+        replay(b);
       } else if (e.state == DirState::Update && e.sharers == 0) {
         e.state = DirState::Unowned;
       }
@@ -48,8 +41,6 @@ void UpdateHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::Writeback: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
       DirEntry& e = dir_.entry(b);
       if (msg.flag) {
         // Demotion: the writer keeps a ValidU copy.
@@ -62,33 +53,23 @@ void UpdateHomeController::on_message(const Message& msg) {
         e.owner = kInvalidNode;
         e.state = e.sharers == 0 ? DirState::Unowned : DirState::Update;
       }
-      {
-        Message ack;
-        ack.type = MsgType::WritebackAck;
-        ack.dst = msg.src;
-        ack.addr = mem::block_base(b);
-        send_from(ack);
-      }
-      if (auto it = pending_.find(b); it != pending_.end() && it->second.waiting_wb)
-        replay(b);
+      absorb_writeback(msg);
       return;
     }
 
     case MsgType::RecallReply: {
-      auto it = pending_.find(b);
-      CCSIM_CHECK(it != pending_.end(),
+      Hold* h = held(b);
+      CCSIM_CHECK(h != nullptr,
                   "home=%u block=%#llx cycle=%llu: RecallReply without a "
                   "recall in flight",
                   static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
                   static_cast<unsigned long long>(ctx_.q.now()));
       if (msg.flag) {
         // Owner evicted; wait for its Writeback (unless it already landed).
-        DirEntry& e = dir_.entry(b);
-        if (e.state != DirState::Private) {
+        if (dir_.entry(b).state != DirState::Private)
           replay(b);
-        } else {
-          it->second.waiting_wb = true;
-        }
+        else
+          h->waiting_wb = true;
         return;
       }
       memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
@@ -111,7 +92,7 @@ void UpdateHomeController::on_message(const Message& msg) {
   }
 }
 
-void UpdateHomeController::process(const Message& msg) {
+void UpdateHomeController::serve(const Message& msg) {
   switch (msg.type) {
     case MsgType::GetS: serve_gets(msg); break;
     case MsgType::UpdateReq: serve_update(msg); break;
@@ -124,53 +105,48 @@ void UpdateHomeController::process(const Message& msg) {
   }
 }
 
-void UpdateHomeController::start_recall(mem::BlockAddr b, const Message& first) {
-  DirEntry& e = dir_.entry(b);
-  CCSIM_CHECK(e.state == DirState::Private,
-              "home=%u block=%#llx cycle=%llu: recall of a block not in "
-              "Private mode",
-              static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
-              static_cast<unsigned long long>(ctx_.q.now()));
-  Pending& p = pending_[b];
-  p.queued.push_back(first);
+void UpdateHomeController::hold_private(const DirEntry& e, const Message& req) {
+  if (e.owner == req.src) {
+    // The owner gave the block up and asks again before its writeback
+    // arrived: wait for the writeback to settle the state.
+    hold(req).waiting_wb = true;
+    return;
+  }
+  hold(req);
   Message r;
   r.type = MsgType::Recall;
   r.dst = e.owner;
-  r.addr = mem::block_base(b);
+  r.addr = mem::block_base(mem::block_of(req.addr));
   send_from(r);
 }
 
-void UpdateHomeController::replay(mem::BlockAddr b) {
-  auto it = pending_.find(b);
-  if (it == pending_.end()) return;
-  std::deque<Message> queued = std::move(it->second.queued);
-  pending_.erase(it);
-  while (!queued.empty()) {
-    Message m = queued.front();
-    queued.pop_front();
-    if (pending_.contains(b)) {
-      // Processing re-entered a recall; push the remainder behind it.
-      auto& q = pending_[b].queued;
-      q.insert(q.end(), queued.begin(), queued.end());
-      return;
-    }
-    process(m);
-  }
+void UpdateHomeController::grant(const Message& msg, unsigned count, bool make_private) {
+  Message g;
+  g.type = MsgType::UpdateGrant;
+  g.dst = msg.src;
+  g.addr = msg.addr;
+  g.payload = count;
+  g.flag = make_private;
+  send_from(g);
+}
+
+unsigned UpdateHomeController::multicast_update(const DirEntry& e, Addr word_addr,
+                                                std::uint64_t value, std::size_t size,
+                                                NodeId writer) {
+  Message u;
+  u.type = MsgType::Update;
+  u.addr = word_addr;
+  u.payload = value;
+  u.payload2 = size;
+  u.requester = writer;
+  return multicast(e, u, writer);
 }
 
 void UpdateHomeController::serve_gets(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Private) {
-    if (e.owner == msg.src) {
-      // Owner evicted its private copy and re-missed before the writeback
-      // arrived; park the request until the writeback lands.
-      Pending& p = pending_[b];
-      p.queued.push_back(msg);
-      p.waiting_wb = true;
-    } else {
-      start_recall(b, msg);
-    }
+    hold_private(e, msg);
     return;
   }
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
@@ -179,60 +155,18 @@ void UpdateHomeController::serve_gets(const Message& msg) {
   d.dst = msg.src;
   d.addr = msg.addr;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Update;
   e.add_sharer(msg.src);
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
-}
-
-void UpdateHomeController::multicast_update(mem::BlockAddr b, Addr word_addr,
-                                            std::uint64_t value, std::size_t size,
-                                            NodeId writer, unsigned& count) {
-  DirEntry& e = dir_.entry(b);
-  count = 0;
-  for (NodeId s = 0; s < ctx_.nprocs; ++s) {
-    if (s == writer || !e.has_sharer(s)) continue;
-    Message u;
-    u.type = MsgType::Update;
-    u.dst = s;
-    u.addr = word_addr;
-    u.payload = value;
-    u.payload2 = size;
-    u.requester = writer;
-    send_from(u);
-    ++count;
-  }
+  reply_at(ready, d);
 }
 
 void UpdateHomeController::serve_update(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
-
-  if (e.state == DirState::Private) {
-    if (e.owner == msg.src) {
-      // Writer raced its own private grant: keep it private.
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
-      memory_.write_word(msg.addr, msg.payload2, msg.payload);
-      ctx_.misses.on_store(msg.src, msg.addr);
-      for (obs::Observer* o : ctx_.observers)
-        o->on_global_write(msg.src, msg.addr,
-                           memory_.read_word(mem::word_base(msg.addr), mem::kWordSize));
-      Message g;
-      g.type = MsgType::UpdateGrant;
-      g.dst = msg.src;
-      g.addr = msg.addr;
-      g.payload = 0;
-      g.flag = true;
-      send_from(g);
-    } else {
-      start_recall(b, msg);
-    }
+  // A writer racing its own private grant stays private.
+  const bool own_private = e.state == DirState::Private && e.owner == msg.src;
+  if (e.state == DirState::Private && !own_private) {
+    hold_private(e, msg);
     return;
   }
 
@@ -244,64 +178,37 @@ void UpdateHomeController::serve_update(const Message& msg) {
     o->on_global_write(msg.src, msg.addr,
                        memory_.read_word(mem::word_base(msg.addr), mem::kWordSize));
 
+  if (own_private) {
+    grant(msg, 0, true);
+    return;
+  }
   if (enable_private_ && e.state == DirState::Update && e.only_sharer_is(msg.src)) {
     // Only the writer caches this block: tell it to retain future updates
     // (PU's private-block optimization, paper section 3.1).
     e.state = DirState::Private;
     e.owner = msg.src;
-    Message g;
-    g.type = MsgType::UpdateGrant;
-    g.dst = msg.src;
-    g.addr = msg.addr;
-    g.payload = 0;
-    g.flag = true;
-    send_from(g);
+    grant(msg, 0, true);
     return;
   }
 
-  unsigned count = 0;
-  multicast_update(b, msg.addr, msg.payload, msg.payload2, msg.src, count);
-  Message g;
-  g.type = MsgType::UpdateGrant;
-  g.dst = msg.src;
-  g.addr = msg.addr;
-  g.payload = count;
-  g.flag = false;
-  send_from(g);
+  grant(msg, multicast_update(e, msg.addr, msg.payload, msg.payload2, msg.src), false);
 }
 
 void UpdateHomeController::serve_atomic(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
   DirEntry& e = dir_.entry(b);
   if (e.state == DirState::Private) {
-    if (e.owner == msg.src) {
-      // The requester demotes before issuing an atomic, and FIFO delivery
-      // puts its Writeback ahead of the AtomicReq -- but the grant that
-      // made it private may still have been in flight when it fenced.
-      // Park until the state settles via the writeback.
-      Pending& p = pending_[b];
-      p.queued.push_back(msg);
-      p.waiting_wb = true;
-    } else {
-      start_recall(b, msg);
-    }
+    // An atomic's requester demotes before issuing it, and FIFO delivery
+    // puts its Writeback ahead of the AtomicReq -- but the grant that made
+    // it private may still have been in flight when it fenced.
+    hold_private(e, msg);
     return;
   }
 
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordRead);
   const std::uint64_t old = memory_.read_word(msg.addr, mem::kWordSize);
-  std::uint64_t next = old;
-  bool wrote = true;
-  switch (msg.op) {
-    case net::AtomicOp::FetchAdd: next = old + msg.payload; break;
-    case net::AtomicOp::FetchStore: next = msg.payload; break;
-    case net::AtomicOp::CompareSwap:
-      if (old == msg.payload)
-        next = msg.payload2;
-      else
-        wrote = false;
-      break;
-  }
+  bool wrote = false;
+  const std::uint64_t next = apply_atomic(msg.op, old, msg.payload, msg.payload2, wrote);
   for (obs::Observer* o : ctx_.observers) o->on_read(msg.src, msg.addr, old);
   if (wrote) {
     memory_.write_word(msg.addr, mem::kWordSize, next);
@@ -318,8 +225,8 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
   e.add_sharer(msg.src);
   if (e.state == DirState::Unowned) e.state = DirState::Update;
 
-  unsigned count = 0;
-  if (wrote) multicast_update(b, msg.addr, next, mem::kWordSize, msg.src, count);
+  const unsigned count =
+      wrote ? multicast_update(e, msg.addr, next, mem::kWordSize, msg.src) : 0;
 
   Message r;
   r.type = MsgType::AtomicReply;
@@ -328,10 +235,7 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
   r.payload = old;
   r.payload2 = count;
   r.has_block = true;
-  ctx_.q.schedule_at(ready, [this, r, b]() mutable {
-    r.block = memory_.read_block(b);  // read at send time (see serve_gets)
-    send_from(r);
-  });
+  reply_at(ready, r);
 }
 
 } // namespace ccsim::proto

@@ -11,29 +11,6 @@ using net::Message;
 using net::MsgType;
 
 // ---------------------------------------------------------------------
-// loads
-// ---------------------------------------------------------------------
-
-void WiCacheController::handle_load_miss(Addr a, std::size_t size, LoadCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  if (auto it = txns_.find(b); it != txns_.end()) {
-    // An outstanding fetch will satisfy this load; it is not a new miss.
-    it->second.loads.push_back({a, size, std::move(done)});
-    return;
-  }
-  ctx_.misses.classify_miss(id_, a);
-  Txn& t = txns_[b];
-  t.want_exclusive = false;
-  t.loads.push_back({a, size, std::move(done)});
-
-  Message m;
-  m.type = MsgType::GetS;
-  m.dst = ctx_.alloc.home_of(b);
-  m.addr = a;
-  send(m);
-}
-
-// ---------------------------------------------------------------------
 // stores (write-buffer drain)
 // ---------------------------------------------------------------------
 
@@ -52,58 +29,32 @@ void WiCacheController::drain_head() {
     entry_done();
     return;
   }
-  const mem::BlockAddr b = mem::block_of(e.addr);
-  mem::CacheLine* line = cache_.find(b);
-
+  mem::CacheLine* line = cache_.find(mem::block_of(e.addr));
   if (line && line->state == mem::LineState::Modified) {
     ++ctx_.counters.mem.write_hits;
     perform_store(e);
     entry_done();
     return;
   }
-  if (auto it = txns_.find(b); it != txns_.end()) {
-    it->second.retries.push_back([this] { drain_head(); });
-    return;
-  }
-  Txn& t = txns_[b];
-  t.want_exclusive = true;
-  t.retries.push_back([this] { drain_head(); });
-  ++outstanding_;
+  request_exclusive(e.addr, line, [this] { drain_head(); });
+}
 
-  Message m;
-  m.addr = e.addr;
-  m.dst = ctx_.alloc.home_of(b);
+void WiCacheController::request_exclusive(Addr a, const mem::CacheLine* line,
+                                          std::function<void()> retry) {
+  if (!open_txn(mem::block_of(a), std::move(retry))) return;
+  ++outstanding_;
   if (line && line->state == mem::LineState::Shared) {
     ctx_.misses.on_exclusive_request(id_);
-    t.upgrade = true;
-    m.type = MsgType::Upgrade;
+    send(to_home(MsgType::Upgrade, a));
   } else {
-    ctx_.misses.classify_miss(id_, e.addr);
-    m.type = MsgType::GetX;
+    ctx_.misses.classify_miss(id_, a);
+    send(to_home(MsgType::GetX, a));
   }
-  send(m);
 }
 
 // ---------------------------------------------------------------------
 // atomics (executed in the cache controller under WI)
 // ---------------------------------------------------------------------
-
-namespace {
-std::uint64_t apply_atomic(net::AtomicOp op, std::uint64_t old, std::uint64_t v1,
-                           std::uint64_t v2, bool& wrote) {
-  wrote = true;
-  switch (op) {
-    case net::AtomicOp::FetchAdd: return old + v1;
-    case net::AtomicOp::FetchStore: return v1;
-    case net::AtomicOp::CompareSwap:
-      if (old == v1) return v2;
-      wrote = false;
-      return old;
-  }
-  wrote = false;
-  return old;
-}
-} // namespace
 
 void WiCacheController::do_atomic_local(net::AtomicOp op, Addr a, std::uint64_t v1,
                                         std::uint64_t v2, LoadCallback done) {
@@ -132,136 +83,14 @@ void WiCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
 
 void WiCacheController::cpu_atomic_resume(net::AtomicOp op, Addr a, std::uint64_t v1,
                                           std::uint64_t v2, LoadCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  mem::CacheLine* line = cache_.find(b);
+  mem::CacheLine* line = cache_.find(mem::block_of(a));
   if (line && line->state == mem::LineState::Modified) {
     do_atomic_local(op, a, v1, v2, std::move(done));
     return;
   }
-  if (auto it = txns_.find(b); it != txns_.end()) {
-    it->second.retries.push_back([this, op, a, v1, v2, done = std::move(done)]() mutable {
-      cpu_atomic_resume(op, a, v1, v2, std::move(done));
-    });
-    return;
-  }
-  Txn& t = txns_[b];
-  t.want_exclusive = true;
-  t.retries.push_back([this, op, a, v1, v2, done = std::move(done)]() mutable {
+  request_exclusive(a, line, [this, op, a, v1, v2, done = std::move(done)]() mutable {
     cpu_atomic_resume(op, a, v1, v2, std::move(done));
   });
-  ++outstanding_;
-
-  Message m;
-  m.addr = a;
-  m.dst = ctx_.alloc.home_of(b);
-  if (line && line->state == mem::LineState::Shared) {
-    ctx_.misses.on_exclusive_request(id_);
-    t.upgrade = true;
-    m.type = MsgType::Upgrade;
-  } else {
-    ctx_.misses.classify_miss(id_, a);
-    m.type = MsgType::GetX;
-  }
-  send(m);
-}
-
-// ---------------------------------------------------------------------
-// flush
-// ---------------------------------------------------------------------
-
-void WiCacheController::cpu_flush(Addr a, DoneCallback done) {
-  const mem::BlockAddr b = mem::block_of(a);
-  // Wait for program-order-earlier stores to the block to be performed.
-  if (wb_.contains_block(b) || txns_.contains(b)) {
-    ctx_.q.schedule(1, [this, a, done = std::move(done)]() mutable {
-      cpu_flush(a, std::move(done));
-    });
-    return;
-  }
-  if (mem::CacheLine* line = cache_.find(b)) {
-    Message m;
-    m.dst = ctx_.alloc.home_of(b);
-    m.addr = mem::block_base(b);
-    if (line->state == mem::LineState::Modified) {
-      m.type = MsgType::Writeback;
-      m.has_block = true;
-      m.block = line->data;
-      note_writeback_sent(b);
-    } else {
-      m.type = MsgType::ReplHint;
-    }
-    send(m);
-    ctx_.misses.on_evicted(id_, b);
-    ctx_.updates.on_block_replaced(id_, b);
-    line->state = mem::LineState::Invalid;
-    cache_.notify(b);
-  }
-  ctx_.q.schedule(kHitCycles, std::move(done));
-}
-
-// ---------------------------------------------------------------------
-// fills, evictions, transaction completion
-// ---------------------------------------------------------------------
-
-void WiCacheController::evict_for(mem::BlockAddr incoming) {
-  mem::CacheLine& line = cache_.set_for(incoming);
-  if (!line.valid() || line.block == incoming) return;
-  Message m;
-  m.dst = ctx_.alloc.home_of(line.block);
-  m.addr = mem::block_base(line.block);
-  if (line.state == mem::LineState::Modified) {
-    m.type = MsgType::Writeback;
-    m.has_block = true;
-    m.block = line.data;
-    note_writeback_sent(line.block);
-  } else {
-    m.type = MsgType::ReplHint;
-  }
-  send(m);
-  ctx_.misses.on_evicted(id_, line.block);
-  ctx_.updates.on_block_replaced(id_, line.block);
-  line.state = mem::LineState::Invalid;
-  cache_.notify(line.block);
-}
-
-void WiCacheController::fill(mem::BlockAddr b,
-                             const std::array<std::byte, mem::kBlockSize>& data,
-                             mem::LineState state) {
-  evict_for(b);
-  mem::CacheLine& line = cache_.set_for(b);
-  line.block = b;
-  line.state = state;
-  line.data = data;
-  line.cu_counter = 0;
-  ctx_.misses.on_fill(id_, b);
-  cache_.notify(b);
-}
-
-void WiCacheController::invalidate_line(mem::CacheLine& l, Addr trigger) {
-  ctx_.misses.on_invalidated(id_, l.block, trigger);
-  l.state = mem::LineState::Invalid;
-  cache_.notify(l.block);
-}
-
-void WiCacheController::complete_txn(mem::BlockAddr b) {
-  auto it = txns_.find(b);
-  CCSIM_CHECK(it != txns_.end(),
-              "node=%u block=%#llx cycle=%llu: transaction completing that was "
-              "never opened",
-              static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
-              static_cast<unsigned long long>(ctx_.q.now()));
-  Txn t = std::move(it->second);
-  txns_.erase(it);
-
-  // Waiting loads complete at +1 reading the line then (see
-  // complete_load_later); if the deferred invalidation below takes the
-  // line first, they retry with a fresh fetch.
-  for (auto& w : t.loads) complete_load_later(w.addr, w.size, std::move(w.done));
-  for (auto& r : t.retries) ctx_.q.schedule(1, std::move(r));
-
-  if (t.inval_on_fill) {
-    if (mem::CacheLine* line = cache_.find(b)) invalidate_line(*line, t.inval_trigger);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -270,70 +99,35 @@ void WiCacheController::complete_txn(mem::BlockAddr b) {
 
 void WiCacheController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Cache, ctx_.q.now(), id_, msg));
-
-  // A fill may not evict a line with its own transaction outstanding (the
-  // Upgrade's grant would arrive for a line we no longer hold) -- the MSHR
-  // conflict stalls the fill until the victim's transaction completes.
-  switch (msg.type) {
-    case MsgType::DataS:
-    case MsgType::OwnerDataS:
-    case MsgType::DataX:
-    case MsgType::OwnerDataX: {
-      const mem::CacheLine& victim = cache_.set_for(b);
-      if (victim.valid() && victim.block != b) {
-        if (auto it = txns_.find(victim.block); it != txns_.end()) {
-          it->second.retries.push_back([this, msg] { on_message(msg); });
-          return;
-        }
-      }
-      break;
-    }
-    default:
-      break;
-  }
+  ctx_.trace_recv(obs::TraceCat::Cache, id_, msg);
 
   switch (msg.type) {
     case MsgType::DataS:
     case MsgType::OwnerDataS:
+      if (fill_blocked(msg)) return;
       fill(b, msg.block, mem::LineState::Shared);
       complete_txn(b);
       break;
 
     case MsgType::DataX:
-    case MsgType::OwnerDataX: {
-      pending_acks_ += static_cast<std::int64_t>(msg.payload);
-      --outstanding_;
-      fill(b, msg.block, mem::LineState::Modified);
-      for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
-      Message fin;
-      fin.type = MsgType::ExclDone;
-      fin.dst = ctx_.alloc.home_of(b);
-      fin.addr = mem::block_base(b);
-      send(fin);
-      complete_txn(b);
-      check_fences();
-      break;
-    }
-
+    case MsgType::OwnerDataX:
     case MsgType::UpgAck: {
-      mem::CacheLine* line = cache_.find(b);
-      CCSIM_CHECK(line && line->state == mem::LineState::Shared,
-                  "node=%u block=%#llx cycle=%llu: upgrade grant for a line "
-                  "not held Shared",
-                  static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
-                  static_cast<unsigned long long>(ctx_.q.now()));
-      line->state = mem::LineState::Modified;
-      for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
+      if (msg.type == MsgType::UpgAck) {
+        mem::CacheLine* line = cache_.find(b);
+        CCSIM_CHECK(line && line->state == mem::LineState::Shared,
+                    "node=%u block=%#llx cycle=%llu: upgrade grant for a line "
+                    "not held Shared",
+                    static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
+                    static_cast<unsigned long long>(ctx_.q.now()));
+        line->state = mem::LineState::Modified;
+      } else {
+        if (fill_blocked(msg)) return;
+        fill(b, msg.block, mem::LineState::Modified);
+      }
       pending_acks_ += static_cast<std::int64_t>(msg.payload);
       --outstanding_;
-      Message fin;
-      fin.type = MsgType::ExclDone;
-      fin.dst = ctx_.alloc.home_of(b);
-      fin.addr = mem::block_base(b);
-      send(fin);
+      for (obs::Observer* o : ctx_.observers) o->on_writable(id_, b);
+      send(to_home(MsgType::ExclDone, mem::block_base(b)));
       complete_txn(b);
       check_fences();
       break;
@@ -363,78 +157,36 @@ void WiCacheController::on_message(const Message& msg) {
       note_writeback_acked(b);
       break;
 
-    case MsgType::FwdGetS: {
-      mem::CacheLine* line = cache_.find(b);
-      if (!line || line->state != mem::LineState::Modified) {
-        // If our own writeback of this block is still in flight, the home
-        // will replay this transaction off it: nack. (Deferring here would
-        // deadlock -- our refetch is queued at the home behind the very
-        // transaction this forward belongs to.)
-        if (writeback_in_flight(b)) {
-          Message n;
-          n.type = MsgType::FwdNack;
-          n.dst = ctx_.alloc.home_of(b);
-          n.addr = msg.addr;
-          send(n);
-          break;
-        }
-      }
-      if (!line) {
-        Message n;
-        n.type = MsgType::FwdNack;
-        n.dst = ctx_.alloc.home_of(b);
-        n.addr = msg.addr;
-        send(n);
-        break;
-      }
-      Message d;
-      d.type = MsgType::OwnerDataS;
-      d.dst = msg.requester;
-      d.addr = msg.addr;
-      d.has_block = true;
-      d.block = line->data;
-      send(d);
-      Message wb;
-      wb.type = MsgType::SharedWB;
-      wb.dst = ctx_.alloc.home_of(b);
-      wb.addr = mem::block_base(b);
-      wb.requester = msg.requester;
-      wb.has_block = true;
-      wb.block = line->data;
-      send(wb);
-      line->state = mem::LineState::Shared;
-      break;
-    }
-
+    case MsgType::FwdGetS:
     case MsgType::FwdGetX: {
       mem::CacheLine* line = cache_.find(b);
-      if (!line || line->state != mem::LineState::Modified) {
-        if (writeback_in_flight(b)) {  // see FwdGetS
-          Message n;
-          n.type = MsgType::FwdNack;
-          n.dst = ctx_.alloc.home_of(b);
-          n.addr = msg.addr;
-          send(n);
-          break;
-        }
-      }
-      if (!line) {
-        Message n;
-        n.type = MsgType::FwdNack;
-        n.dst = ctx_.alloc.home_of(b);
-        n.addr = msg.addr;
-        send(n);
+      // Nack if the block is gone, or if our own writeback of it is still
+      // in flight: the home replays this transaction off the writeback.
+      // (Deferring here would deadlock -- our refetch is queued at the
+      // home behind the very transaction this forward belongs to.)
+      if (!line || (line->state != mem::LineState::Modified && writeback_in_flight(b))) {
+        send(to_home(MsgType::FwdNack, msg.addr));
         break;
       }
       Message d;
-      d.type = MsgType::OwnerDataX;
       d.dst = msg.requester;
       d.addr = msg.addr;
-      d.payload = 0;  // no invalidation acks follow a forwarded transfer
       d.has_block = true;
       d.block = line->data;
-      send(d);
-      invalidate_line(*line, msg.addr);
+      if (msg.type == MsgType::FwdGetS) {
+        d.type = MsgType::OwnerDataS;
+        send(d);
+        Message wb = to_home(MsgType::SharedWB, mem::block_base(b));
+        wb.requester = msg.requester;
+        wb.has_block = true;
+        wb.block = line->data;
+        send(wb);
+        line->state = mem::LineState::Shared;
+      } else {
+        d.type = MsgType::OwnerDataX;  // payload 0: no invalidation acks follow
+        send(d);
+        invalidate_line(*line, msg.addr);
+      }
       break;
     }
 

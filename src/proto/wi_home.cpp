@@ -12,36 +12,12 @@ using net::MsgType;
 using mem::DirEntry;
 using mem::DirState;
 
-void WiHomeController::begin(const Message& req) {
-  const mem::BlockAddr b = mem::block_of(req.addr);
-  active_.emplace(b, Active{req, false, false, false});
-  dispatch(b);
-}
-
-void WiHomeController::close(mem::BlockAddr b) {
-  active_.erase(b);
-  auto it = queued_.find(b);
-  if (it == queued_.end() || it->second.empty()) {
-    if (it != queued_.end()) queued_.erase(it);
-    return;
-  }
-  Message next = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) queued_.erase(it);
-  begin(next);
-}
-
-void WiHomeController::restart(mem::BlockAddr b) {
-  auto it = active_.find(b);
-  CCSIM_CHECK(it != active_.end(),
-              "home=%u block=%#llx cycle=%llu: restart of a transaction that "
-              "is not active",
-              static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
-              static_cast<unsigned long long>(ctx_.q.now()));
-  it->second.awaiting_remote = false;
-  it->second.wb_processed = false;
-  it->second.waiting_wb = false;
-  dispatch(b);
+unsigned WiHomeController::invalidate_sharers(const DirEntry& e, const Message& req) {
+  Message inv;
+  inv.type = MsgType::Inval;
+  inv.addr = req.addr;  // carries the triggering word for classification
+  inv.requester = req.src;
+  return multicast(e, inv, req.src);
 }
 
 void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
@@ -49,13 +25,13 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // The requester evicted its dirty copy and re-missed before the
     // writeback reached us; absorb the writeback first.
-    active_[b].waiting_wb = true;
+    hold(req).waiting_wb = true;
     return;
   }
   if (e.state == DirState::Exclusive) {
     // Dirty at a remote cache: DASH-style forward; the transaction stays
     // open until the owner's SharedWB (or FwdNack) comes back.
-    active_[b].awaiting_remote = true;
+    hold(req);
     Message f;
     f.type = MsgType::FwdGetS;
     f.dst = e.owner;
@@ -70,17 +46,9 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
   d.dst = req.src;
   d.addr = req.addr;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Shared;
   e.add_sharer(req.src);
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
-  close(b);
+  reply_at(ready, d);
 }
 
 void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
@@ -88,11 +56,11 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // Writeback from the requester itself is still in flight (see
     // serve_gets); replay this request after absorbing it.
-    active_[b].waiting_wb = true;
+    hold(req).waiting_wb = true;
     return;
   }
   if (e.state == DirState::Exclusive) {
-    active_[b].awaiting_remote = true;
+    hold(req);
     Message f;
     f.type = MsgType::FwdGetX;
     f.dst = e.owner;
@@ -103,20 +71,7 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
   }
 
   // Invalidate every other sharer; acks flow directly to the requester.
-  unsigned acks = 0;
-  if (e.state == DirState::Shared) {
-    for (NodeId s = 0; s < ctx_.nprocs; ++s) {
-      if (s == req.src || !e.has_sharer(s)) continue;
-      Message inv;
-      inv.type = MsgType::Inval;
-      inv.dst = s;
-      inv.addr = req.addr;  // carries the triggering word for classification
-      inv.requester = req.src;
-      send_from(inv);
-      for (obs::Observer* o : ctx_.observers) o->on_inval_sent(s, req.addr, req.src);
-      ++acks;
-    }
-  }
+  const unsigned acks = e.state == DirState::Shared ? invalidate_sharers(e, req) : 0;
   const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
   Message d;
   d.type = MsgType::DataX;
@@ -124,24 +79,17 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
   d.addr = req.addr;
   d.payload = acks;
   d.has_block = true;
-  d.block = memory_.read_block(b);
   e.state = DirState::Exclusive;
   e.sharers = 0;
   e.owner = req.src;
-  ctx_.q.schedule_at(ready, [this, d, b]() mutable {
-    // Read memory at send time: a write absorbed between dispatch and the
-    // bank completing must be reflected in the data (the requester is
-    // already in the sharer set, so later updates/invals assume it is).
-    d.block = memory_.read_block(b);
-    send_from(d);
-  });
+  reply_at(ready, d);
   // The transaction closes on the requester's ExclDone: a later request
   // must never be forwarded to an owner that has not received its data.
+  hold(req);
 }
 
-void WiHomeController::dispatch(mem::BlockAddr b) {
-  const Message req = active_.at(b).req;
-  DirEntry& e = dir_.entry(b);
+void WiHomeController::serve(const Message& req) {
+  const mem::BlockAddr b = mem::block_of(req.addr);
   switch (req.type) {
     case MsgType::GetS:
       serve_gets(b, req);
@@ -149,20 +97,10 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
     case MsgType::GetX:
       serve_getx(b, req);
       break;
-    case MsgType::Upgrade:
+    case MsgType::Upgrade: {
+      DirEntry& e = dir_.entry(b);
       if (e.state == DirState::Shared && e.has_sharer(req.src)) {
-        unsigned acks = 0;
-        for (NodeId s = 0; s < ctx_.nprocs; ++s) {
-          if (s == req.src || !e.has_sharer(s)) continue;
-          Message inv;
-          inv.type = MsgType::Inval;
-          inv.dst = s;
-          inv.addr = req.addr;
-          inv.requester = req.src;
-          send_from(inv);
-          for (obs::Observer* o : ctx_.observers) o->on_inval_sent(s, req.addr, req.src);
-          ++acks;
-        }
+        const unsigned acks = invalidate_sharers(e, req);
         const Cycle ready =
             memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
         Message g;
@@ -173,14 +111,15 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
         e.state = DirState::Exclusive;
         e.sharers = 0;
         e.owner = req.src;
-        ctx_.q.schedule_at(ready, [this, g] { send_from(g); });
-        // Closed by the requester's ExclDone (see serve_getx).
+        reply_at(ready, g);
+        hold(req);  // closed by the requester's ExclDone (see serve_getx)
       } else {
         // The requester's copy was invalidated while the Upgrade was in
         // flight: serve data as if this were a GetX.
         serve_getx(b, req);
       }
       break;
+    }
     default:
       CCSIM_CHECK(false,
                   "home=%u block=%#llx cycle=%llu: unexpected active request "
@@ -193,18 +132,12 @@ void WiHomeController::dispatch(mem::BlockAddr b) {
 
 void WiHomeController::on_message(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  if (ctx_.trace)
-    ctx_.trace->event(
-        obs::recv_event(obs::TraceCat::Home, ctx_.q.now(), id_, msg));
+  ctx_.trace_recv(obs::TraceCat::Home, id_, msg);
   switch (msg.type) {
     case MsgType::GetS:
     case MsgType::GetX:
     case MsgType::Upgrade:
-      for (obs::Observer* o : ctx_.observers) o->on_home_txn(b);
-      if (active_.contains(b))
-        queued_[b].push_back(msg);
-      else
-        begin(msg);
+      admit(msg);
       break;
 
     case MsgType::SharedWB: {
@@ -233,22 +166,20 @@ void WiHomeController::on_message(const Message& msg) {
     case MsgType::FwdNack: {
       // The owner no longer holds the block; its writeback is (or was)
       // in flight. Replay once the writeback has been absorbed.
-      auto it = active_.find(b);
-      CCSIM_CHECK(it != active_.end(),
+      Hold* h = held(b);
+      CCSIM_CHECK(h != nullptr,
                   "home=%u block=%#llx cycle=%llu: FwdNack with no active "
                   "transaction",
                   static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
                   static_cast<unsigned long long>(ctx_.q.now()));
-      if (it->second.wb_processed)
-        restart(b);
+      if (h->wb_processed)
+        replay(b);
       else
-        it->second.waiting_wb = true;
+        h->waiting_wb = true;
       break;
     }
 
     case MsgType::Writeback: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
       DirEntry& e = dir_.entry(b);
       if ((e.state == DirState::Exclusive || e.state == DirState::Private) &&
           e.owner == msg.src) {
@@ -256,17 +187,7 @@ void WiHomeController::on_message(const Message& msg) {
         e.sharers = 0;
         e.owner = kInvalidNode;
       }
-      {
-        Message ack;
-        ack.type = MsgType::WritebackAck;
-        ack.dst = msg.src;
-        ack.addr = mem::block_base(b);
-        send_from(ack);
-      }
-      if (auto it = active_.find(b); it != active_.end()) {
-        it->second.wb_processed = true;
-        if (it->second.waiting_wb) restart(b);
-      }
+      absorb_writeback(msg);
       break;
     }
 

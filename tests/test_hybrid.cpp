@@ -135,6 +135,30 @@ TEST(Hybrid, AtomicsRouteToTheirDomainEngine) {
   EXPECT_EQ(m.counters().net.of(net::MsgType::AtomicReq), 40u);
 }
 
+TEST(Hybrid, ProfileCountsTheEnginesWriteBuffers) {
+  // A hybrid node's stores go to its engines' write buffers; the profile
+  // reports their deepest occupancy and every store they accepted.
+  MachineConfig cfg = hybrid(2);
+  cfg.obs.profile = true;
+  Machine m(cfg);
+  const Addr wi_region = m.alloc().allocate_on(1, 8);
+  const Addr cu_region = m.alloc().allocate_on(1, 8);
+  m.bind_protocol(wi_region, 8, Protocol::WI);
+  m.bind_protocol(cu_region, 8, Protocol::CU);
+  m.run_all([&](cpu::Cpu& c) -> sim::Task {
+    for (int k = 1; k <= 6; ++k) {
+      co_await c.store(wi_region, static_cast<std::uint64_t>(k));
+      co_await c.store(cu_region, static_cast<std::uint64_t>(k));
+    }
+    co_await c.fence();
+  });
+  const obs::ProfileSnapshot p = m.profile();
+  EXPECT_EQ(p.wb_pushes, m.counters().mem.shared_writes);
+  EXPECT_EQ(p.wb_pushes, 24u);
+  EXPECT_GE(p.wb_peak, 1u);
+  EXPECT_LE(p.wb_peak, cfg.wb_entries);
+}
+
 TEST(Hybrid, BestOfBothBeatsPureMachines) {
   // The paper's conclusion, executed: a lock-heavy + barrier-heavy loop
   // where the best lock protocol (CU) and best barrier protocol (PU)

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -93,6 +96,73 @@ TEST(LinkContention, NextHopFollowsDimensionOrder) {
   EXPECT_EQ(t.next_hop(3, 7), 7u);  // then Y
   EXPECT_EQ(t.next_hop(0, 7), 1u);
   EXPECT_EQ(t.next_hop(7, 0), 6u);  // reverse direction
+}
+
+TEST(LinkContention, EveryNodeCountRoutesThroughItsMeshPositions) {
+  // MeshTopology rounds P up to an X x Y mesh, so X-first routes out of a
+  // partly filled last row cross switch positions that hold no node (3
+  // nodes on a 2x2 mesh: 2 -> 1 passes position 3). One message per
+  // ordered pair, all injected at cycle 0, must arrive exactly when a
+  // reference model with one busy-until time per directed link says.
+  for (unsigned n = 1; n <= mem::kMaxNodes; ++n) {
+    sim::EventQueue q;
+    net::Network::Params p;
+    p.link_contention = true;
+    const net::MeshTopology topo(n);
+    net::Network net(q, topo, p, nullptr);
+    std::vector<Recorder> sinks(n);
+    for (NodeId i = 0; i < n; ++i) {
+      sinks[i].q = &q;
+      net.attach(i, sinks[i]);
+    }
+    const Cycle flits = (mk(0, 0).wire_bytes() + p.flit_bytes - 1) / p.flit_bytes;
+    std::map<std::pair<NodeId, NodeId>, Cycle> link_free;
+    std::vector<Cycle> inject_free(n, 0), eject_free(n, 0);
+    std::vector<std::vector<Cycle>> want(n);
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId d = 0; d < n; ++d) {
+        if (s == d) continue;
+        net.send(mk(s, d));
+        Cycle head = inject_free[s];
+        inject_free[s] += flits;
+        for (NodeId at = s; at != d;) {
+          const NodeId next = topo.next_hop(at, d);
+          Cycle& busy = link_free[{at, next}];
+          head = std::max(head + p.switch_delay, busy);
+          busy = head + flits;
+          at = next;
+        }
+        eject_free[d] = std::max(head, eject_free[d]) + flits;
+        want[d].push_back(eject_free[d]);
+      }
+    }
+    q.run();
+    for (NodeId d = 0; d < n; ++d)
+      ASSERT_EQ(sinks[d].at, want[d]) << n << " nodes, deliveries to node " << d;
+  }
+}
+
+TEST(LinkContention, PartlyFilledMeshesRunToCompletion) {
+  // Node counts whose last mesh row is partly filled (2x2 holding 3, 4x2
+  // holding 5-7) under a contended lock.
+  for (unsigned n : {3u, 5u, 6u, 7u}) {
+    MachineConfig cfg;
+    cfg.protocol = Protocol::WI;
+    cfg.nprocs = n;
+    cfg.net.link_contention = true;
+    Machine m(cfg);
+    sync::TicketLock lock(m, n - 1);  // replies leave the partly filled row
+    const Addr ctr = m.alloc().allocate_on(n - 1, 8);
+    m.run_all([&](cpu::Cpu& c) -> sim::Task {
+      for (int i = 0; i < 10; ++i) {
+        co_await lock.acquire(c);
+        const std::uint64_t v = co_await c.load(ctr);
+        co_await c.store(ctr, v + 1);
+        co_await lock.release(c);
+      }
+    });
+    EXPECT_EQ(m.peek(ctr), 10u * n) << n << " nodes";
+  }
 }
 
 TEST(LinkContention, FullWorkloadStillCorrect) {

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <vector>
+
 namespace {
 
 using namespace ccsim;
@@ -17,6 +21,44 @@ using harness::Machine;
 using harness::MachineConfig;
 using net::MsgType;
 using proto::Protocol;
+
+/// Keeps every trace event of a run.
+struct TraceRecorder final : obs::TraceSink {
+  std::vector<obs::TraceEvent> events;
+  void on_event(const obs::TraceEvent& e) override { events.push_back(e); }
+};
+
+/// One message a home sent or received, as the trace shows it.
+struct HomeStep {
+  bool sent;
+  MsgType msg;
+  NodeId peer;
+  bool operator==(const HomeStep&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HomeStep& s) {
+  return os << (s.sent ? "-> " : "<- ") << net::to_string(s.msg) << ' ' << s.peer;
+}
+
+/// What `home` sent and received about block `b`, in trace order: network
+/// injections at the home and the home controller's receptions.
+std::vector<HomeStep> home_steps(const TraceRecorder& rec, NodeId home, mem::BlockAddr b) {
+  std::vector<HomeStep> steps;
+  for (const obs::TraceEvent& e : rec.events) {
+    if (e.node != home || mem::block_of(e.addr) != b) continue;
+    if (e.cat == obs::TraceCat::Net && e.kind == obs::EventKind::MsgSend)
+      steps.push_back({true, e.msg, e.peer});
+    else if (e.cat == obs::TraceCat::Home)
+      steps.push_back({false, e.msg, e.peer});
+  }
+  return steps;
+}
+
+/// The steps from the first occurrence of `from` on.
+std::vector<HomeStep> steps_from(const std::vector<HomeStep>& steps, HomeStep from) {
+  auto it = std::find(steps.begin(), steps.end(), from);
+  return {it, steps.end()};
+}
 
 TEST(ProtocolRaces, WiForwardNackAndWritebackReplay) {
   // Proc 0 dirties block A, then evicts it via a conflicting load while
@@ -107,6 +149,103 @@ TEST(ProtocolRaces, PuRecallMeetsEvictedOwner) {
     recalls += m.counters().net.of(MsgType::Recall);
   }
   EXPECT_GT(recalls, 0u) << "no recall was exercised across the sweep";
+}
+
+TEST(ProtocolRaces, PuRecallServesParkedReadsInArrivalOrder) {
+  // Node 0 holds block A in private mode; nodes 1, 3 and 2 read it, in
+  // that order of arrival at A's home (node 4). Node 1's read recalls A,
+  // the other two park behind the recall, and once node 0 gives A back
+  // the home answers all three in arrival order.
+  MachineConfig cfg;
+  cfg.protocol = Protocol::PU;
+  cfg.nprocs = 5;
+  TraceRecorder rec;
+  cfg.obs.sink = &rec;
+  Machine m(cfg);
+  const NodeId home = 4;
+  const Addr a = m.alloc().allocate_on(home, 8);
+  std::vector<std::uint64_t> got(4, 0);
+  const auto reader = [&](Cycle at) {
+    return [&, at](cpu::Cpu& c) -> sim::Task {
+      co_await c.think(at);
+      got[c.id()] = co_await c.load(a);
+    };
+  };
+  std::vector<Machine::Program> ps;
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    for (int i = 1; i <= 4; ++i) co_await c.store(a, 10 * i);  // -> private
+    co_await c.fence();
+  });
+  ps.push_back(reader(400));
+  ps.push_back(reader(420));
+  ps.push_back(reader(404));
+  m.run(ps);
+  EXPECT_EQ(got[1], 40u);
+  EXPECT_EQ(got[2], 40u);
+  EXPECT_EQ(got[3], 40u);
+
+  const std::vector<HomeStep> want = {
+      {true, MsgType::Recall, 0},       // node 1's read recalls the block
+      {false, MsgType::GetS, 3},        // parked
+      {false, MsgType::GetS, 2},        // parked
+      {false, MsgType::RecallReply, 0},
+      {true, MsgType::DataS, 1},
+      {true, MsgType::DataS, 3},
+      {true, MsgType::DataS, 2},
+  };
+  EXPECT_EQ(steps_from(home_steps(rec, home, mem::block_of(a)), want.front()), want);
+}
+
+TEST(ProtocolRaces, WiForwardServesParkedRequestsInArrivalOrder) {
+  // Node 0 holds block A Modified. Node 1's read is forwarded to node 0;
+  // a write from node 3 and then a read from node 2 park behind that
+  // transaction. When node 0's SharedWB closes it, the home serves node
+  // 3's GetX, which holds the block until node 3's ExclDone, and only
+  // then node 2's GetS, which it forwards to the new owner.
+  MachineConfig cfg;
+  cfg.protocol = Protocol::WI;
+  cfg.nprocs = 5;
+  TraceRecorder rec;
+  cfg.obs.sink = &rec;
+  Machine m(cfg);
+  const NodeId home = 4;
+  const Addr a = m.alloc().allocate_on(home, 8);
+  std::uint64_t read1 = 0, read2 = 0;
+  std::vector<Machine::Program> ps;
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.store(a, 7);
+    co_await c.fence();
+  });
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.think(400);
+    read1 = co_await c.load(a);
+  });
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.think(420);
+    read2 = co_await c.load(a);
+  });
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.think(404);
+    co_await c.store(a, 9);
+    co_await c.fence();
+  });
+  m.run(ps);
+  EXPECT_EQ(read1, 7u);
+  EXPECT_EQ(read2, 9u);
+
+  const std::vector<HomeStep> want = {
+      {true, MsgType::FwdGetS, 0},  // node 1's read, forwarded to the owner
+      {false, MsgType::GetX, 3},    // parked
+      {false, MsgType::GetS, 2},    // parked
+      {false, MsgType::SharedWB, 0},
+      {true, MsgType::Inval, 0},
+      {true, MsgType::Inval, 1},
+      {true, MsgType::DataX, 3},
+      {false, MsgType::ExclDone, 3},
+      {true, MsgType::FwdGetS, 3},  // node 2's read, forwarded to node 3
+      {false, MsgType::SharedWB, 3},
+  };
+  EXPECT_EQ(steps_from(home_steps(rec, home, mem::block_of(a)), want.front()), want);
 }
 
 TEST(ProtocolRaces, UpdateOvertakesDataSHarmlessly) {

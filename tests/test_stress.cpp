@@ -2,7 +2,8 @@
 // machine => identical cycles and check counts, with and without jitter),
 // jitter actually perturbs timing, stress cells pass the invariant checker
 // on every protocol, and the sweep engine classifies stress failures
-// (FailKind propagation for deadlocks and invariant violations).
+// (FailKind propagation for deadlocks, budget stops and invariant
+// violations).
 #include "harness/stress.hpp"
 
 #include "harness/machine.hpp"
@@ -141,6 +142,22 @@ TEST(Stress, HungRunnerIsClassifiedAsDeadlock) {
   EXPECT_EQ(r.fail, SweepResult::FailKind::Deadlock);
   EXPECT_NE(r.error.find("drained with programs waiting"), std::string::npos)
       << r.error;
+}
+
+TEST(Stress, OutlivingMaxCyclesIsABudgetStopNotADeadlock) {
+  // A healthy stress cell whose budget is too small for it: the watchdog
+  // never fires and the queue never drains, so this is no hang.
+  SweepJob j;
+  j.name = "stress/budget";
+  j.machine = stress_machine(proto::Protocol::WI);
+  j.machine.max_cycles = 5000;
+  j.runner = [](const MachineConfig& cfg) { return run_stress_cell(cfg, small_params()); };
+  const SweepResult r = harness::run_sweep_job(j);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.fail, SweepResult::FailKind::Budget);
+  EXPECT_EQ(harness::to_string(r.fail), "budget");
+  EXPECT_NE(r.error.find("exceeded max_cycles"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("stuck processors"), std::string::npos) << r.error;
 }
 
 TEST(Stress, CorruptingRunnerIsClassifiedAsInvariantViolation) {

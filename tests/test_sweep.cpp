@@ -122,7 +122,7 @@ TEST(Sweep, ResultsComeBackInSubmissionOrder) {
 
 TEST(Sweep, ThrowingJobBecomesFailedCellWithoutAbortingTheSweep) {
   auto jobs = determinism_grid();
-  // Force one mid-sweep cell over its deadlock backstop: Machine::run
+  // Force one mid-sweep cell over its max_cycles budget: Machine::run
   // throws, and the sweep must contain it.
   const std::size_t victim = jobs.size() / 2;
   jobs[victim].machine.max_cycles = 10;
@@ -134,8 +134,8 @@ TEST(Sweep, ThrowingJobBecomesFailedCellWithoutAbortingTheSweep) {
     if (i == victim) {
       EXPECT_FALSE(results[i].ok);
       EXPECT_FALSE(results[i].error.empty());
-      // Hitting the max_cycles backstop is classified as a deadlock cell.
-      EXPECT_EQ(results[i].fail, SweepResult::FailKind::Deadlock);
+      // Outliving max_cycles is classified as a budget stop.
+      EXPECT_EQ(results[i].fail, SweepResult::FailKind::Budget);
     } else {
       EXPECT_TRUE(results[i].ok) << results[i].name << ": " << results[i].error;
     }
@@ -147,7 +147,7 @@ TEST(Sweep, FailedCellsAreContainedSequentiallyToo) {
   jobs[0].machine.max_cycles = 10;
   const auto results = harness::run_sweep(jobs, SweepOptions{});
   EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].fail, SweepResult::FailKind::Deadlock);
+  EXPECT_EQ(results[0].fail, SweepResult::FailKind::Budget);
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].ok) << results[i].name;
     EXPECT_EQ(results[i].fail, SweepResult::FailKind::None);

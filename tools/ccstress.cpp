@@ -26,10 +26,12 @@
 // live cells-done/rate/ETA line on stderr (only when stderr is a TTY;
 // --quiet suppresses it and the final summary line).
 //
-// Exit codes: 0 = every cell passed; 1 = some cell failed another way;
-// 2 = usage error; 3 = a cell tripped the deadlock/livelock watchdog;
-// 4 = a cell violated a coherence invariant. Invariant beats deadlock
-// beats other when cells disagree.
+// Exit codes: 0 = every cell passed; 1 = some cell failed another way,
+// including a budget stop (fail_kind "budget": the cell outlived
+// --max-cycles, which is not by itself a hang); 2 = usage error; 3 = a
+// cell tripped the deadlock/livelock watchdog or drained its event queue
+// with programs waiting; 4 = a cell violated a coherence invariant.
+// Invariant beats deadlock beats other when cells disagree.
 #include "harness/stress.hpp"
 #include "harness/sweep.hpp"
 #include "sim/rng.hpp"
@@ -167,7 +169,8 @@ void write_doc(std::ostream& os, const Options& o,
   os << '\n';
 }
 
-/// 4 = invariant violation, 3 = deadlock, 1 = other failure, 0 = clean.
+/// 4 = invariant violation, 3 = deadlock, 1 = budget stop or other
+/// failure, 0 = clean.
 int exit_code(const std::vector<SweepResult>& results) {
   int code = 0;
   for (const SweepResult& r : results) {
@@ -175,6 +178,7 @@ int exit_code(const std::vector<SweepResult>& results) {
       case SweepResult::FailKind::None: break;
       case SweepResult::FailKind::Invariant: code = 4; break;
       case SweepResult::FailKind::Deadlock: code = std::max(code, 3); break;
+      case SweepResult::FailKind::Budget:
       case SweepResult::FailKind::Other: code = std::max(code, 1); break;
     }
   }

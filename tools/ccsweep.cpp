@@ -22,7 +22,7 @@
 // Output (stdout by default): a schema-versioned document with one
 // object per cell -- the same run-object schema as the benches' --json
 // documents (see docs/schema.md), plus ok/error so a cell that threw
-// (e.g. hit its --max-cycles deadlock backstop) is reported as a failed
+// (e.g. outlived its --max-cycles budget) is reported as a failed
 // cell without aborting the sweep -- and a merged summary (counts,
 // failed cell names, best cell per construct family). Exits 0 when every
 // cell succeeded, 1 otherwise, 2 on usage errors.
