@@ -9,31 +9,16 @@ using namespace ccbench;
 namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  std::vector<std::string> headers{"barrier/proto"};
-  for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
-  harness::Table t(std::move(headers));
-
-  for (harness::BarrierKind k :
-       {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-        harness::BarrierKind::Tree, harness::BarrierKind::CombiningTree}) {
+  Table t = procs_table("barrier/proto", opts);
+  for (harness::BarrierKind k : harness::kBarrierKinds) {
     for (proto::Protocol proto : kProtocols) {
-      const std::string_view tag = harness::tag(k);
-      std::vector<std::string> row{series_label(tag, proto)};
-      for (unsigned p : opts.procs) {
-        harness::MachineConfig cfg;
-        cfg.protocol = proto;
-        cfg.nprocs = p;
-        obs.configure(cfg,
-                      series_label(tag, proto) + "/P" + std::to_string(p));
-        const auto r =
-            harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});
-        obs.record(r);
-        row.push_back(harness::Table::num(r.avg_latency, 1));
-      }
-      t.add_row(std::move(row));
+      Row r{series_label(harness::tag(k), proto), {}};
+      for (unsigned p : opts.procs)
+        r.cells.push_back(cell(opts, r.label + "/P" + std::to_string(p), proto, p, k));
+      t.rows.push_back(std::move(r));
     }
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

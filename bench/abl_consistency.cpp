@@ -11,60 +11,32 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-  harness::Table t({"experiment", "RC", "SC", "SC/RC"});
-
-  const auto row = [&](const std::string& name, auto&& run) {
-    const double rc = run(proto::Consistency::Release);
-    const double sc = run(proto::Consistency::Sequential);
-    t.add_row({name, harness::Table::num(rc, 1), harness::Table::num(sc, 1),
-               harness::Table::num(sc / rc, 2) + "x"});
+  Table t{.headers = {"experiment", "RC", "SC", "SC/RC"},
+          .format = latency,
+          .derived = ratio};
+  // One row per construct: the same cell under release, then sequential,
+  // consistency.
+  const auto add = [&](const std::string& name, const std::string& tag, auto kind,
+                       proto::Protocol proto) {
+    Row r{name + "/" + std::string(proto::to_string(proto)), {}};
+    for (proto::Consistency m :
+         {proto::Consistency::Release, proto::Consistency::Sequential}) {
+      harness::SweepJob j =
+          cell(opts,
+               tag + "/" + std::string(proto::to_string(proto)) +
+                   (m == proto::Consistency::Release ? "/RC" : "/SC"),
+               proto, p, kind);
+      j.machine.consistency = m;
+      r.cells.push_back(std::move(j));
+    }
+    t.rows.push_back(std::move(r));
   };
-
   for (proto::Protocol proto : kProtocols) {
-    row(std::string("lock MCS/") + std::string(proto::to_string(proto)),
-        [&](proto::Consistency m) {
-          harness::MachineConfig cfg;
-          cfg.protocol = proto;
-          cfg.nprocs = p;
-          cfg.consistency = m;
-          harness::LockParams params;
-          params.total_acquires = opts.scaled(32000);
-          obs.configure(cfg, "MCS/" + std::string(proto::to_string(proto)) +
-                                 (m == proto::Consistency::Release ? "/RC" : "/SC"));
-          const auto r =
-              harness::run_lock_experiment(cfg, harness::LockKind::Mcs, params);
-          obs.record(r);
-          return r.avg_latency;
-        });
-    row(std::string("barrier db/") + std::string(proto::to_string(proto)),
-        [&](proto::Consistency m) {
-          harness::MachineConfig cfg;
-          cfg.protocol = proto;
-          cfg.nprocs = p;
-          cfg.consistency = m;
-          obs.configure(cfg, "db/" + std::string(proto::to_string(proto)) +
-                                 (m == proto::Consistency::Release ? "/RC" : "/SC"));
-          const auto r = harness::run_barrier_experiment(
-              cfg, harness::BarrierKind::Dissemination, {opts.scaled(5000)});
-          obs.record(r);
-          return r.avg_latency;
-        });
-    row(std::string("reduction sr/") + std::string(proto::to_string(proto)),
-        [&](proto::Consistency m) {
-          harness::MachineConfig cfg;
-          cfg.protocol = proto;
-          cfg.nprocs = p;
-          cfg.consistency = m;
-          obs.configure(cfg, "sr/" + std::string(proto::to_string(proto)) +
-                                 (m == proto::Consistency::Release ? "/RC" : "/SC"));
-          const auto r = harness::run_reduction_experiment(
-              cfg, harness::ReductionKind::Sequential,
-              {.rounds = opts.scaled(5000)});
-          obs.record(r);
-          return r.avg_latency;
-        });
+    add("lock MCS", "MCS", harness::LockKind::Mcs, proto);
+    add("barrier db", "db", harness::BarrierKind::Dissemination, proto);
+    add("reduction sr", "sr", harness::ReductionKind::Sequential, proto);
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

@@ -11,45 +11,28 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-
-  harness::Table t({"workload", "thresh", "avg-lat", "misses", "drop-miss",
-                    "updates", "drops"});
+  Table t{.headers = {"workload", "thresh", "avg-lat", "misses", "drop-miss", "updates",
+                      "drops"},
+          .format = [](const harness::SweepJob& j, const harness::RunResult& r) {
+            return std::vector<std::string>{
+                stats::Table::num(std::uint64_t{j.machine.cu_threshold}),
+                stats::Table::num(r.avg_latency, 1),
+                stats::Table::num(r.counters.misses.total()),
+                stats::Table::num(r.counters.misses[stats::MissClass::Drop]),
+                stats::Table::num(r.counters.updates.total()),
+                stats::Table::num(r.counters.updates[stats::UpdateClass::Drop])};
+          }};
   for (unsigned thresh : {1u, 2u, 4u, 8u, 16u}) {
-    {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto::Protocol::CU;
-      cfg.nprocs = p;
-      cfg.cu_threshold = thresh;
-      harness::LockParams params;
-      params.total_acquires = opts.scaled(32000);
-      obs.configure(cfg, "MCS/t" + std::to_string(thresh));
-      const auto r = harness::run_lock_experiment(cfg, harness::LockKind::Mcs, params);
-      obs.record(r);
-      t.add_row({"MCS lock", harness::Table::num(std::uint64_t{thresh}),
-                 harness::Table::num(r.avg_latency, 1),
-                 harness::Table::num(r.counters.misses.total()),
-                 harness::Table::num(r.counters.misses[stats::MissClass::Drop]),
-                 harness::Table::num(r.counters.updates.total()),
-                 harness::Table::num(r.counters.updates[stats::UpdateClass::Drop])});
-    }
-    {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto::Protocol::CU;
-      cfg.nprocs = p;
-      cfg.cu_threshold = thresh;
-      obs.configure(cfg, "cb/t" + std::to_string(thresh));
-      const auto r = harness::run_barrier_experiment(
-          cfg, harness::BarrierKind::Central, {opts.scaled(5000)});
-      obs.record(r);
-      t.add_row({"central barrier", harness::Table::num(std::uint64_t{thresh}),
-                 harness::Table::num(r.avg_latency, 1),
-                 harness::Table::num(r.counters.misses.total()),
-                 harness::Table::num(r.counters.misses[stats::MissClass::Drop]),
-                 harness::Table::num(r.counters.updates.total()),
-                 harness::Table::num(r.counters.updates[stats::UpdateClass::Drop])});
-    }
+    const std::string suffix = "/t" + std::to_string(thresh);
+    harness::SweepJob lock =
+        cell(opts, "MCS" + suffix, proto::Protocol::CU, p, harness::LockKind::Mcs);
+    harness::SweepJob barrier = cell(opts, "cb" + suffix, proto::Protocol::CU, p,
+                                     harness::BarrierKind::Central);
+    lock.machine.cu_threshold = barrier.machine.cu_threshold = thresh;
+    t.rows.push_back({"MCS lock", {std::move(lock)}});
+    t.rows.push_back({"central barrier", {std::move(barrier)}});
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

@@ -14,59 +14,52 @@ using namespace ccbench;
 
 namespace {
 
-Cycle run_combined(harness::ObsSession& obs, const std::string& label,
-                   proto::Protocol machine_proto, unsigned nprocs, int rounds,
-                   bool bind) {
-  harness::MachineConfig cfg;
-  cfg.protocol = machine_proto;
-  cfg.nprocs = nprocs;
-  obs.configure(cfg, label + "/P" + std::to_string(nprocs));
+/// `rounds` rounds of the combined workload; a hybrid machine binds the
+/// lock to CU and the barrier to WI.
+harness::RunResult run_combined(const harness::MachineConfig& cfg, std::uint64_t rounds) {
   harness::Machine m(cfg);
   sync::McsLock lock(m);
   sync::CentralBarrier barrier(m);
-  if (bind) {
+  if (cfg.protocol == proto::Protocol::Hybrid) {
     m.bind_protocol(lock.tail_addr(), mem::kWordSize, proto::Protocol::CU);
-    for (NodeId i = 0; i < nprocs; ++i)
+    for (NodeId i = 0; i < cfg.nprocs; ++i)
       m.bind_protocol(lock.qnode_addr(i), 2 * mem::kWordSize, proto::Protocol::CU);
     // count and sense share one block (figure 3): bind it to WI.
     m.bind_protocol(barrier.count_addr(), 2 * mem::kWordSize, proto::Protocol::WI);
   }
-  const Cycle cycles = m.run_all([&, rounds](cpu::Cpu& c) -> sim::Task {
-    for (int i = 0; i < rounds; ++i) {
+  harness::RunResult r;
+  r.cycles = m.run_all([&](cpu::Cpu& c) -> sim::Task {
+    for (std::uint64_t i = 0; i < rounds; ++i) {
       co_await lock.acquire(c);
       co_await c.think(50);
       co_await lock.release(c);
       co_await barrier.wait(c);
     }
   });
-  harness::RunResult r;
-  r.cycles = cycles;
-  r.avg_latency = static_cast<double>(cycles) / static_cast<double>(rounds);
+  r.avg_latency = static_cast<double>(r.cycles) / static_cast<double>(rounds);
   r.counters = m.counters();
   harness::capture_obs(r, m);
-  obs.record(r);
-  return cycles;
+  return r;
 }
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  const int rounds = static_cast<int>(opts.scaled(2000));
-  std::vector<std::string> headers{"machine"};
-  for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
-  harness::Table t(std::move(headers));
-
-  const auto row = [&](const char* name, auto&& run) {
-    std::vector<std::string> cells{name};
-    for (unsigned p : opts.procs)
-      cells.push_back(harness::Table::num(
-          static_cast<double>(run(p)) / static_cast<double>(rounds), 1));
-    t.add_row(std::move(cells));
+  const std::uint64_t rounds = opts.scaled(2000);
+  Table t = procs_table("machine", opts);
+  const auto combined = [rounds](const harness::MachineConfig& cfg) {
+    return run_combined(cfg, rounds);
   };
-  row("pure WI", [&](unsigned p) { return run_combined(obs, "WI", proto::Protocol::WI, p, rounds, false); });
-  row("pure PU", [&](unsigned p) { return run_combined(obs, "PU", proto::Protocol::PU, p, rounds, false); });
-  row("pure CU", [&](unsigned p) { return run_combined(obs, "CU", proto::Protocol::CU, p, rounds, false); });
-  row("hybrid (lock=CU, barrier=WI)",
-      [&](unsigned p) { return run_combined(obs, "hybrid", proto::Protocol::Hybrid, p, rounds, true); });
-  print_table(t, opts);
+  const auto add = [&](const char* label, const char* tag, proto::Protocol machine) {
+    Row r{label, {}};
+    for (unsigned p : opts.procs)
+      r.cells.push_back(
+          cell(opts, std::string(tag) + "/P" + std::to_string(p), machine, p, combined));
+    t.rows.push_back(std::move(r));
+  };
+  add("pure WI", "WI", proto::Protocol::WI);
+  add("pure PU", "PU", proto::Protocol::PU);
+  add("pure CU", "CU", proto::Protocol::CU);
+  add("hybrid (lock=CU, barrier=WI)", "hybrid", proto::Protocol::Hybrid);
+  run_rows(t, opts, obs);
   if (!opts.csv)
     std::printf("\nrows are cycles per round (one critical section + one "
                 "barrier episode)\n");

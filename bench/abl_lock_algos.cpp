@@ -12,62 +12,24 @@ using namespace ccbench;
 
 namespace {
 
-struct Algo {
-  const char* tag;
-  std::function<std::unique_ptr<sync::Lock>(harness::Machine&)> make;
-};
-
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  const Algo algos[] = {
-      {"tas", [](harness::Machine& m) { return std::make_unique<sync::TasLock>(m); }},
-      {"ttas",
-       [](harness::Machine& m) { return std::make_unique<sync::TtasLock>(m); }},
-      {"tk",
-       [](harness::Machine& m) { return std::make_unique<sync::TicketLock>(m); }},
-      {"MCS",
-       [](harness::Machine& m) { return std::make_unique<sync::McsLock>(m); }},
-      {"uc",
-       [](harness::Machine& m) { return std::make_unique<sync::McsLock>(m, true); }},
-  };
-
-  std::vector<std::string> headers{"lock/proto"};
-  for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
-  harness::Table t(std::move(headers));
-
-  const std::uint64_t total = opts.scaled(32000);
-  for (const Algo& algo : algos) {
+  Table t = procs_table("lock/proto", opts);
+  const auto add = [&](std::string_view tag, auto lock) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(algo.tag, proto)};
-      for (unsigned p : opts.procs) {
-        harness::MachineConfig cfg;
-        cfg.protocol = proto;
-        cfg.nprocs = p;
-        obs.configure(cfg, series_label(algo.tag, proto) + "/P" +
-                               std::to_string(p));
-        harness::Machine m(cfg);
-        auto lock = algo.make(m);
-        const std::uint64_t iters = std::max<std::uint64_t>(1, total / p);
-        const Cycle cycles = m.run_all([&](cpu::Cpu& c) -> sim::Task {
-          for (std::uint64_t i = 0; i < iters; ++i) {
-            co_await lock->acquire(c);
-            co_await c.think(50);
-            co_await lock->release(c);
-          }
-        });
-        const double avg =
-            static_cast<double>(cycles) / static_cast<double>(iters * p) - 50.0;
-        harness::RunResult r;
-        r.cycles = cycles;
-        r.avg_latency = avg;
-        r.counters = m.counters();
-        harness::capture_obs(r, m);
-        obs.record(r);
-        row.push_back(harness::Table::num(avg, 1));
-      }
-      t.add_row(std::move(row));
+      Row r{series_label(tag, proto), {}};
+      for (unsigned p : opts.procs)
+        r.cells.push_back(cell(opts, r.label + "/P" + std::to_string(p), proto, p, lock));
+      t.rows.push_back(std::move(r));
     }
-  }
-  print_table(t, opts);
+  };
+  add("tas", harness::LockFactory([](harness::Machine& m) {
+        return std::make_unique<sync::TasLock>(m);
+      }));
+  add("ttas", harness::LockFactory([](harness::Machine& m) {
+        return std::make_unique<sync::TtasLock>(m);
+      }));
+  for (harness::LockKind k : harness::kLockKinds) add(harness::tag(k), k);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

@@ -11,35 +11,26 @@ using namespace ccbench;
 namespace {
 
 void run_variant(const harness::BenchOptions& opts, harness::ObsSession& obs,
-                 const char* tag, const char* name,
-                 harness::LockParams params) {
-  std::vector<std::string> headers{"lock/proto"};
-  for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
-  harness::Table t(std::move(headers));
-
-  for (harness::LockKind k :
-       {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs}) {
+                 const char* tag, const char* name, harness::LockParams params) {
+  Table t = procs_table("lock/proto", opts);
+  t.caption = name;
+  params.total_acquires = opts.scaled(32000);
+  for (harness::LockKind k : harness::kLockKinds) {
     for (proto::Protocol proto : kProtocols) {
-      std::vector<std::string> row{series_label(harness::tag(k), proto)};
+      Row r{series_label(harness::tag(k), proto), {}};
       for (unsigned p : opts.procs) {
-        harness::MachineConfig cfg;
-        cfg.protocol = proto;
-        cfg.nprocs = p;
-        harness::LockParams pp = params;
-        pp.total_acquires = opts.scaled(32000);
-        if (pp.work_ratio != 0) pp.work_ratio = p;  // ratio tracks machine size
-        obs.configure(cfg, std::string(tag) + "/" +
-                               series_label(harness::tag(k), proto) + "/P" +
-                               std::to_string(p));
-        const auto r = harness::run_lock_experiment(cfg, k, pp);
-        obs.record(r);
-        row.push_back(harness::Table::num(r.avg_latency, 1));
+        harness::SweepJob j =
+            cell(opts, std::string(tag) + "/" + r.label + "/P" + std::to_string(p), proto,
+                 p, k);
+        j.lock_params = params;
+        // The work ratio tracks the machine size.
+        if (params.work_ratio != 0) j.lock_params.work_ratio = p;
+        r.cells.push_back(std::move(j));
       }
-      t.add_row(std::move(row));
+      t.rows.push_back(std::move(r));
     }
   }
-  if (!opts.csv) std::printf("%s\n", name);
-  print_table(t, opts);
+  run_rows(t, opts, obs);
   if (!opts.csv) std::printf("\n");
 }
 

@@ -13,61 +13,37 @@ using namespace ccbench;
 
 namespace {
 
+/// Wait-time percentiles of a cell's acquires.
+std::vector<std::string> fairness(const harness::SweepJob&, const harness::RunResult& r) {
+  const stats::LatencyHistogram& h = r.latency;
+  const double p50 = static_cast<double>(h.percentile(0.50));
+  const double p99 = static_cast<double>(h.percentile(0.99));
+  return {stats::Table::num(h.mean(), 1),
+          stats::Table::num(static_cast<std::uint64_t>(p50)),
+          stats::Table::num(static_cast<std::uint64_t>(p99)), stats::Table::num(h.max()),
+          stats::Table::num(p99 / std::max(1.0, p50), 1) + "x"};
+}
+
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  struct Algo {
-    const char* tag;
-    std::function<std::unique_ptr<sync::Lock>(harness::Machine&)> make;
-  };
-  const Algo algos[] = {
-      {"tas", [](harness::Machine& m) { return std::make_unique<sync::TasLock>(m); }},
-      {"ttas",
-       [](harness::Machine& m) { return std::make_unique<sync::TtasLock>(m); }},
-      {"tk",
-       [](harness::Machine& m) { return std::make_unique<sync::TicketLock>(m); }},
-      {"MCS",
-       [](harness::Machine& m) { return std::make_unique<sync::McsLock>(m); }},
-  };
-
   const unsigned p = opts.procs.back();
-  const std::uint64_t total = opts.scaled(32000);
-  harness::Table t({"lock/proto", "mean", "p50", "p99", "max", "p99/p50"});
-
-  for (const Algo& algo : algos) {
+  Table t{.headers = {"lock/proto", "mean", "p50", "p99", "max", "p99/p50"},
+          .format = fairness};
+  const auto add = [&](std::string_view tag, auto lock) {
     for (proto::Protocol proto : kProtocols) {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto;
-      cfg.nprocs = p;
-      obs.configure(cfg,
-                    series_label(algo.tag, proto) + "/P" + std::to_string(p));
-      harness::Machine m(cfg);
-      auto lock = algo.make(m);
-      stats::LatencyHistogram h;
-      const std::uint64_t iters = std::max<std::uint64_t>(1, total / p);
-      m.run_all([&](cpu::Cpu& c) -> sim::Task {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          const Cycle t0 = c.queue().now();
-          co_await lock->acquire(c);
-          h.add(c.queue().now() - t0);
-          co_await c.think(50);
-          co_await lock->release(c);
-        }
-      });
-      harness::RunResult r;
-      r.avg_latency = h.mean();
-      r.counters = m.counters();
-      r.latency = h;
-      harness::capture_obs(r, m);
-      obs.record(r);
-      const double p50 = static_cast<double>(h.percentile(0.50));
-      const double p99 = static_cast<double>(h.percentile(0.99));
-      t.add_row({series_label(algo.tag, proto), harness::Table::num(h.mean(), 1),
-                 harness::Table::num(static_cast<std::uint64_t>(p50)),
-                 harness::Table::num(static_cast<std::uint64_t>(p99)),
-                 harness::Table::num(h.max()),
-                 harness::Table::num(p99 / std::max(1.0, p50), 1) + "x"});
+      const std::string label = series_label(tag, proto);
+      t.rows.push_back(
+          {label, {cell(opts, label + "/P" + std::to_string(p), proto, p, lock)}});
     }
-  }
-  print_table(t, opts);
+  };
+  add("tas", harness::LockFactory([](harness::Machine& m) {
+        return std::make_unique<sync::TasLock>(m);
+      }));
+  add("ttas", harness::LockFactory([](harness::Machine& m) {
+        return std::make_unique<sync::TtasLock>(m);
+      }));
+  add("tk", harness::LockKind::Ticket);
+  add("MCS", harness::LockKind::Mcs);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

@@ -15,44 +15,27 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-  const std::uint64_t total = opts.scaled(32000);
-  harness::Table t({"layout/proto", "avg-lat", "updates", "useful-upd",
-                    "false-upd", "misses"});
-
+  Table t{.headers = {"layout/proto", "avg-lat", "updates", "useful-upd", "false-upd",
+                      "misses"},
+          .format = [](const harness::SweepJob&, const harness::RunResult& r) {
+            const stats::Counters& ctr = r.counters;
+            return std::vector<std::string>{
+                stats::Table::num(r.avg_latency, 1),
+                stats::Table::num(ctr.updates.total()),
+                stats::Table::num(ctr.updates.useful()),
+                stats::Table::num(ctr.updates[stats::UpdateClass::FalseSharing]),
+                stats::Table::num(ctr.misses.total())};
+          }};
   for (bool split : {false, true}) {
+    const harness::LockFactory lock = [split](harness::Machine& m) {
+      return std::make_unique<sync::TicketLock>(m, 0, split);
+    };
     for (proto::Protocol proto : kProtocols) {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto;
-      cfg.nprocs = p;
-      obs.configure(cfg, series_label(split ? "split" : "packed", proto));
-      harness::Machine m(cfg);
-      sync::TicketLock lock(m, 0, split);
-      const std::uint64_t iters = std::max<std::uint64_t>(1, total / p);
-      const Cycle cycles = m.run_all([&](cpu::Cpu& c) -> sim::Task {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          co_await lock.acquire(c);
-          co_await c.think(50);
-          co_await lock.release(c);
-        }
-      });
-      const double avg =
-          static_cast<double>(cycles) / static_cast<double>(iters * p) - 50.0;
-      const auto& ctr = m.counters();
-      harness::RunResult r;
-      r.cycles = cycles;
-      r.avg_latency = avg;
-      r.counters = ctr;
-      harness::capture_obs(r, m);
-      obs.record(r);
-      t.add_row({series_label(split ? "split" : "packed", proto),
-                 harness::Table::num(avg, 1),
-                 harness::Table::num(ctr.updates.total()),
-                 harness::Table::num(ctr.updates.useful()),
-                 harness::Table::num(ctr.updates[stats::UpdateClass::FalseSharing]),
-                 harness::Table::num(ctr.misses.total())});
+      const std::string label = series_label(split ? "split" : "packed", proto);
+      t.rows.push_back({label, {cell(opts, label, proto, p, lock)}});
     }
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

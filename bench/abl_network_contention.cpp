@@ -13,53 +13,27 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-
-  harness::Table t({"experiment", "endpoint-only", "full-link", "slowdown"});
-  const auto row = [&](const std::string& name, auto&& run) {
-    const double endpoint = run(false);
-    const double link = run(true);
-    t.add_row({name, harness::Table::num(endpoint, 1), harness::Table::num(link, 1),
-               harness::Table::num(link / endpoint, 2) + "x"});
+  Table t{.headers = {"experiment", "endpoint-only", "full-link", "slowdown"},
+          .format = latency,
+          .derived = ratio};
+  // One row per construct: the same cell with endpoint-only, then full
+  // per-link, contention.
+  const auto add = [&](const char* family, auto kind, proto::Protocol proto) {
+    const std::string label = series_label(harness::tag(kind), proto);
+    Row r{family + label, {}};
+    for (bool link : {false, true}) {
+      harness::SweepJob j =
+          cell(opts, label + (link ? "/link" : "/endpoint"), proto, p, kind);
+      j.machine.net.link_contention = link;
+      r.cells.push_back(std::move(j));
+    }
+    t.rows.push_back(std::move(r));
   };
-
-  for (harness::LockKind k :
-       {harness::LockKind::Ticket, harness::LockKind::Mcs, harness::LockKind::UcMcs}) {
-    for (proto::Protocol proto : kProtocols) {
-      row(std::string("lock ") + series_label(harness::tag(k), proto), [&](bool link) {
-        harness::MachineConfig cfg;
-        cfg.protocol = proto;
-        cfg.nprocs = p;
-        cfg.net.link_contention = link;
-        harness::LockParams params;
-        params.total_acquires = opts.scaled(32000);
-        obs.configure(cfg, series_label(harness::tag(k), proto) +
-                               (link ? "/link" : "/endpoint"));
-        const auto r = harness::run_lock_experiment(cfg, k, params);
-        obs.record(r);
-        return r.avg_latency;
-      });
-    }
-  }
-  for (harness::BarrierKind k :
-       {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-        harness::BarrierKind::Tree}) {
-    for (proto::Protocol proto : kProtocols) {
-      row(std::string("barrier ") + series_label(harness::tag(k), proto),
-          [&](bool link) {
-            harness::MachineConfig cfg;
-            cfg.protocol = proto;
-            cfg.nprocs = p;
-            cfg.net.link_contention = link;
-            obs.configure(cfg, series_label(harness::tag(k), proto) +
-                                   (link ? "/link" : "/endpoint"));
-            const auto r =
-                harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});
-            obs.record(r);
-            return r.avg_latency;
-          });
-    }
-  }
-  print_table(t, opts);
+  for (harness::LockKind k : harness::kLockKinds)
+    for (proto::Protocol proto : kProtocols) add("lock ", k, proto);
+  for (harness::BarrierKind k : kPaperBarriers)
+    for (proto::Protocol proto : kProtocols) add("barrier ", k, proto);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

@@ -11,37 +11,29 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   for (Cycle imbalance : {Cycle{0}, Cycle{500}, Cycle{2000}}) {
-    std::vector<std::string> headers{"red/proto"};
-    for (unsigned p : opts.procs) headers.push_back("P=" + std::to_string(p));
-    harness::Table t(std::move(headers));
-
-    for (harness::ReductionKind k :
-         {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
+    Table t = procs_table("red/proto", opts);
+    // Subtract the mean injected imbalance so columns stay comparable.
+    t.format = [imbalance](const harness::SweepJob&, const harness::RunResult& r) {
+      return std::vector<std::string>{stats::Table::num(
+          r.avg_latency - static_cast<double>(imbalance) / 2.0, 1)};
+    };
+    t.caption = "--- pre-reduction imbalance in [0, " + std::to_string(imbalance) +
+                "] cycles ---";
+    for (harness::ReductionKind k : kPaperReductions) {
       for (proto::Protocol proto : kProtocols) {
-        std::vector<std::string> row{series_label(harness::tag(k), proto)};
+        Row r{series_label(harness::tag(k), proto), {}};
         for (unsigned p : opts.procs) {
-          harness::MachineConfig cfg;
-          cfg.protocol = proto;
-          cfg.nprocs = p;
-          harness::ReductionParams params;
-          params.rounds = opts.scaled(5000);
-          params.imbalance_max = imbalance;
-          obs.configure(cfg, series_label(harness::tag(k), proto) + "/imb" +
-                                 std::to_string(imbalance) + "/P" +
-                                 std::to_string(p));
-          const auto r = harness::run_reduction_experiment(cfg, k, params);
-          obs.record(r);
-          // Subtract the mean injected imbalance so columns stay comparable.
-          row.push_back(harness::Table::num(
-              r.avg_latency - static_cast<double>(imbalance) / 2.0, 1));
+          harness::SweepJob j = cell(opts,
+                                     r.label + "/imb" + std::to_string(imbalance) +
+                                         "/P" + std::to_string(p),
+                                     proto, p, k);
+          j.reduction_params.imbalance_max = imbalance;
+          r.cells.push_back(std::move(j));
         }
-        t.add_row(std::move(row));
+        t.rows.push_back(std::move(r));
       }
     }
-    if (!opts.csv)
-      std::printf("--- pre-reduction imbalance in [0, %llu] cycles ---\n",
-                  static_cast<unsigned long long>(imbalance));
-    print_table(t, opts);
+    run_rows(t, opts, obs);
     if (!opts.csv) std::printf("\n");
   }
 }

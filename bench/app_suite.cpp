@@ -11,59 +11,40 @@ namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
   const unsigned p = opts.procs.back();
-  harness::Table t({"kernel/proto", "cycles", "misses", "updates", "useful-upd"});
-
-  // The kernels build their MachineConfig internally, so the session's
-  // settings travel through a scratch config's ObsConfig.
-  harness::MachineConfig ocfg;
-  const auto emit = [&](const std::string& name, auto&& run_kernel) {
-    obs.configure(ocfg, name);
-    const apps::KernelResult r = run_kernel(&ocfg.obs);
-    if (!r.correct) throw std::runtime_error(name + ": oracle check FAILED");
-    obs.record(r);
-    t.add_row({name, harness::Table::num(r.cycles),
-               harness::Table::num(r.counters.misses.total()),
-               harness::Table::num(r.counters.updates.total()),
-               harness::Table::num(r.counters.updates.useful())});
-  };
-
+  Table t{.headers = {"kernel/proto", "cycles", "misses", "updates", "useful-upd"},
+          .format = [](const harness::SweepJob&, const harness::RunResult& r) {
+            return std::vector<std::string>{
+                stats::Table::num(r.cycles), stats::Table::num(r.counters.misses.total()),
+                stats::Table::num(r.counters.updates.total()),
+                stats::Table::num(r.counters.updates.useful())};
+          }};
   for (proto::Protocol proto : kProtocols) {
-    const std::string tag = std::string(proto::to_string(proto));
-    apps::SorParams sor;
-    sor.sweeps = static_cast<int>(opts.scaled(640));
-    emit("sor/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_sor(proto, p, sor, o);
-    });
-
-    apps::HistogramParams hist;
-    hist.items_per_proc = static_cast<unsigned>(opts.scaled(1280));
-    emit("histogram/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_histogram(proto, p, hist, o);
-    });
-
-    apps::NbodyParams nb;
-    nb.steps = static_cast<int>(opts.scaled(320));
-    emit("nbody-pr/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_nbody_step(proto, p, nb, o);
-    });
+    const std::string tag = "/" + std::string(proto::to_string(proto));
+    // An oracle mismatch fails the kernel's cell.
+    const auto add = [&](const std::string& kernel, auto run, auto params) {
+      t.rows.push_back(
+          {kernel + tag,
+           {cell(opts, kernel + tag, proto, p,
+                 [run, params](const harness::MachineConfig& cfg) -> harness::RunResult {
+                   apps::KernelResult r = run(cfg, params);
+                   if (!r.correct) throw std::runtime_error("oracle check FAILED");
+                   return r;
+                 })}});
+    };
+    add("sor", apps::run_sor,
+        apps::SorParams{.sweeps = static_cast<int>(opts.scaled(640))});
+    add("histogram", apps::run_histogram,
+        apps::HistogramParams{
+            .items_per_proc = static_cast<unsigned>(opts.scaled(1280))});
+    apps::NbodyParams nb{.steps = static_cast<int>(opts.scaled(320))};
+    add("nbody-pr", apps::run_nbody_step, nb);
     nb.parallel_reduction = false;
-    emit("nbody-sr/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_nbody_step(proto, p, nb, o);
-    });
-
-    apps::PipelineParams pipe;
-    pipe.items = static_cast<unsigned>(opts.scaled(2560));
-    emit("pipeline/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_pipeline(proto, p, pipe, o);
-    });
-
-    apps::MatmulParams mat;
-    mat.dim = 16;
-    emit("matmul/" + tag, [&](const harness::ObsConfig* o) {
-      return apps::run_matmul(proto, p, mat, o);
-    });
+    add("nbody-sr", apps::run_nbody_step, nb);
+    add("pipeline", apps::run_pipeline,
+        apps::PipelineParams{.items = static_cast<unsigned>(opts.scaled(2560))});
+    add("matmul", apps::run_matmul, apps::MatmulParams{.dim = 16});
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

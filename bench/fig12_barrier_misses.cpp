@@ -6,27 +6,15 @@ using namespace ccbench;
 namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  std::vector<std::string> headers{"barrier/proto"};
-  for (const auto& h : harness::miss_headers()) headers.push_back(h);
-  harness::Table t(std::move(headers));
-
+  Table t{.headers = headers("barrier/proto", harness::miss_headers()), .format = misses};
   const unsigned p = opts.procs.back();
-  for (harness::BarrierKind k :
-       {harness::BarrierKind::Central, harness::BarrierKind::Dissemination,
-        harness::BarrierKind::Tree}) {
+  for (harness::BarrierKind k : kPaperBarriers) {
     for (proto::Protocol proto : kProtocols) {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto;
-      cfg.nprocs = p;
-      obs.configure(cfg, series_label(harness::tag(k), proto));
-      const auto r = harness::run_barrier_experiment(cfg, k, {opts.scaled(5000)});
-      obs.record(r);
-      std::vector<std::string> row{series_label(harness::tag(k), proto)};
-      for (auto& cell : harness::miss_cells(r.counters.misses)) row.push_back(cell);
-      t.add_row(std::move(row));
+      const std::string label = series_label(harness::tag(k), proto);
+      t.rows.push_back({label, {cell(opts, label, proto, p, k)}});
     }
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

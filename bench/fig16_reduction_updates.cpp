@@ -7,28 +7,15 @@ using namespace ccbench;
 namespace {
 
 void body(const harness::BenchOptions& opts, harness::ObsSession& obs) {
-  std::vector<std::string> headers{"red/proto"};
-  for (const auto& h : harness::update_headers()) headers.push_back(h);
-  harness::Table t(std::move(headers));
-
+  Table t{.headers = headers("red/proto", harness::update_headers()), .format = updates};
   const unsigned p = opts.procs.back();
-  for (harness::ReductionKind k :
-       {harness::ReductionKind::Sequential, harness::ReductionKind::Parallel}) {
+  for (harness::ReductionKind k : kPaperReductions) {
     for (proto::Protocol proto : {proto::Protocol::PU, proto::Protocol::CU}) {
-      harness::MachineConfig cfg;
-      cfg.protocol = proto;
-      cfg.nprocs = p;
-      harness::ReductionParams params;
-      params.rounds = opts.scaled(5000);
-      obs.configure(cfg, series_label(harness::tag(k), proto));
-      const auto r = harness::run_reduction_experiment(cfg, k, params);
-      obs.record(r);
-      std::vector<std::string> row{series_label(harness::tag(k), proto)};
-      for (auto& cell : harness::update_cells(r.counters.updates)) row.push_back(cell);
-      t.add_row(std::move(row));
+      const std::string label = series_label(harness::tag(k), proto);
+      t.rows.push_back({label, {cell(opts, label, proto, p, k)}});
     }
   }
-  print_table(t, opts);
+  run_rows(t, opts, obs);
 }
 
 } // namespace

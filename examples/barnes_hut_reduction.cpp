@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
 
   std::cout << "Barnes-Hut-style max-velocity reduction, " << nprocs
             << " processors, " << steps << " timesteps\n\n";
-  harness::Table t({"protocol", "parallel (cycles)", "sequential (cycles)", "winner"});
+  stats::Table t = stats::Table::figure(
+      {"protocol", "parallel (cycles)", "sequential (cycles)", "winner"});
   for (proto::Protocol p :
        {proto::Protocol::WI, proto::Protocol::PU, proto::Protocol::CU}) {
     const Result par = run(p, nprocs, steps, /*parallel=*/true);
@@ -84,8 +85,8 @@ int main(int argc, char** argv) {
       std::cerr << "reduction mismatch!\n";
       return 1;
     }
-    t.add_row({std::string(proto::to_string(p)), harness::Table::num(par.cycles),
-               harness::Table::num(seq.cycles),
+    t.add_row({std::string(proto::to_string(p)), stats::Table::num(par.cycles),
+               stats::Table::num(seq.cycles),
                par.cycles < seq.cycles ? "parallel" : "sequential"});
   }
   t.print(std::cout);

@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
   std::cout << "Custom tournament barrier vs library barriers, " << nprocs
             << " processors\n\n";
 
-  harness::Table t({"barrier/proto", "cycles/episode", "misses", "updates",
-                    "useful-upd"});
+  stats::Table t = stats::Table::figure(
+      {"barrier/proto", "cycles/episode", "misses", "updates", "useful-upd"});
   for (proto::Protocol p : {proto::Protocol::WI, proto::Protocol::PU}) {
     const auto tour = probe(p, nprocs, [](harness::Machine& m) {
       return std::make_unique<TournamentBarrier>(m);
@@ -129,10 +129,10 @@ int main(int argc, char** argv) {
     });
     const std::string tag = std::string(proto::to_string(p));
     const auto row = [&](const char* name, const Probe& pr) {
-      t.add_row({name + ("/" + tag), harness::Table::num(pr.per_episode),
-                 harness::Table::num(pr.counters.misses.total()),
-                 harness::Table::num(pr.counters.updates.total()),
-                 harness::Table::num(pr.counters.updates.useful())});
+      t.add_row({name + ("/" + tag), stats::Table::num(pr.per_episode),
+                 stats::Table::num(pr.counters.misses.total()),
+                 stats::Table::num(pr.counters.updates.total()),
+                 stats::Table::num(pr.counters.updates.useful())});
     };
     row("tournament", tour);
     row("dissemination", diss);

@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
 
   std::cout << "Red-black stencil: " << nprocs << " procs x " << cells
             << " cells, " << sweeps << " sweeps\n\n";
-  harness::Table t({"proto/barrier", "cycles", "misses", "updates", "useful-upd",
-                    "residual"});
+  stats::Table t = stats::Table::figure(
+      {"proto/barrier", "cycles", "misses", "updates", "useful-upd", "residual"});
   std::uint64_t want_residual = 0;
   bool first = true;
   for (proto::Protocol p :
@@ -136,11 +136,11 @@ int main(int argc, char** argv) {
       }
       t.add_row({std::string(proto::to_string(p)) + "/" +
                      std::string(to_string(bk)),
-                 harness::Table::num(r.cycles),
-                 harness::Table::num(r.counters.misses.total()),
-                 harness::Table::num(r.counters.updates.total()),
-                 harness::Table::num(r.counters.updates.useful()),
-                 harness::Table::num(r.residual)});
+                 stats::Table::num(r.cycles),
+                 stats::Table::num(r.counters.misses.total()),
+                 stats::Table::num(r.counters.updates.total()),
+                 stats::Table::num(r.counters.updates.useful()),
+                 stats::Table::num(r.residual)});
     }
   }
   t.print(std::cout);

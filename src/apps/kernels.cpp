@@ -2,9 +2,7 @@
 
 #include "sim/rng.hpp"
 #include "sync/barriers.hpp"
-#include "sync/mcs_lock.hpp"
 #include "sync/reductions.hpp"
-#include "sync/simple_locks.hpp"
 #include "sync/ticket_lock.hpp"
 
 #include <memory>
@@ -13,51 +11,14 @@
 
 namespace ccsim::apps {
 
-namespace {
-
-std::unique_ptr<sync::Barrier> make_barrier(harness::Machine& m,
-                                            harness::BarrierKind k) {
-  switch (k) {
-    case harness::BarrierKind::Central:
-      return std::make_unique<sync::CentralBarrier>(m);
-    case harness::BarrierKind::Dissemination:
-      return std::make_unique<sync::DisseminationBarrier>(m);
-    case harness::BarrierKind::Tree:
-      return std::make_unique<sync::TreeBarrier>(m);
-    case harness::BarrierKind::CombiningTree:
-      return std::make_unique<sync::CombiningTreeBarrier>(m);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<sync::Lock> make_lock(harness::Machine& m, harness::LockKind k,
-                                      NodeId home) {
-  switch (k) {
-    case harness::LockKind::Ticket:
-      return std::make_unique<sync::TicketLock>(m, home);
-    case harness::LockKind::Mcs:
-      return std::make_unique<sync::McsLock>(m, false, home);
-    case harness::LockKind::UcMcs:
-      return std::make_unique<sync::McsLock>(m, true, home);
-  }
-  return nullptr;
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
 // SOR
 // ---------------------------------------------------------------------
 
-KernelResult run_sor(proto::Protocol p, unsigned nprocs,
-                    const SorParams& params,
-                    const harness::ObsConfig* obs) {
-  harness::MachineConfig cfg;
-  cfg.protocol = p;
-  cfg.nprocs = nprocs;
-  if (obs) cfg.obs = *obs;
+KernelResult run_sor(const harness::MachineConfig& cfg, const SorParams& params) {
   harness::Machine m(cfg);
-  auto barrier = make_barrier(m, params.barrier);
+  const unsigned nprocs = cfg.nprocs;
+  auto barrier = harness::make_barrier(m, params.barrier);
 
   const unsigned cells = params.cells_per_proc;
   std::vector<Addr> band(nprocs), halo_lo(nprocs), halo_hi(nprocs);
@@ -138,14 +99,10 @@ KernelResult run_sor(proto::Protocol p, unsigned nprocs,
 // Histogram
 // ---------------------------------------------------------------------
 
-KernelResult run_histogram(proto::Protocol p, unsigned nprocs,
-                    const HistogramParams& params,
-                    const harness::ObsConfig* obs) {
-  harness::MachineConfig cfg;
-  cfg.protocol = p;
-  cfg.nprocs = nprocs;
-  if (obs) cfg.obs = *obs;
+KernelResult run_histogram(const harness::MachineConfig& cfg,
+                           const HistogramParams& params) {
   harness::Machine m(cfg);
+  const unsigned nprocs = cfg.nprocs;
 
   // One bucket counter + one lock per bucket, distributed round-robin.
   std::vector<Addr> bucket(params.buckets);
@@ -154,7 +111,7 @@ KernelResult run_histogram(proto::Protocol p, unsigned nprocs,
     const NodeId home = static_cast<NodeId>(b % nprocs);
     bucket[b] = m.alloc().allocate_on(home, mem::kWordSize,
                                       "hist.bucket" + std::to_string(b));
-    lock[b] = make_lock(m, params.lock, home);
+    lock[b] = harness::make_lock(m, params.lock, home);
   }
 
   // Oracle.
@@ -190,14 +147,10 @@ KernelResult run_histogram(proto::Protocol p, unsigned nprocs,
 // N-body step
 // ---------------------------------------------------------------------
 
-KernelResult run_nbody_step(proto::Protocol p, unsigned nprocs,
-                    const NbodyParams& params,
-                    const harness::ObsConfig* obs) {
-  harness::MachineConfig cfg;
-  cfg.protocol = p;
-  cfg.nprocs = nprocs;
-  if (obs) cfg.obs = *obs;
+KernelResult run_nbody_step(const harness::MachineConfig& cfg,
+                            const NbodyParams& params) {
   harness::Machine m(cfg);
+  const unsigned nprocs = cfg.nprocs;
 
   sync::TicketLock lock(m);
   sync::DisseminationBarrier barrier(m);
@@ -261,14 +214,10 @@ KernelResult run_nbody_step(proto::Protocol p, unsigned nprocs,
 // Pipeline
 // ---------------------------------------------------------------------
 
-KernelResult run_pipeline(proto::Protocol p, unsigned nprocs,
-                    const PipelineParams& params,
-                    const harness::ObsConfig* obs) {
-  harness::MachineConfig cfg;
-  cfg.protocol = p;
-  cfg.nprocs = nprocs;
-  if (obs) cfg.obs = *obs;
+KernelResult run_pipeline(const harness::MachineConfig& cfg,
+                          const PipelineParams& params) {
   harness::Machine m(cfg);
+  const unsigned nprocs = cfg.nprocs;
 
   // nprocs stages connected by nprocs-1 SPSC rings. Ring i sits on the
   // consumer's node (stage i+1): slots + head (producer writes) + tail
@@ -359,15 +308,10 @@ KernelResult run_pipeline(proto::Protocol p, unsigned nprocs,
 // Matmul
 // ---------------------------------------------------------------------
 
-KernelResult run_matmul(proto::Protocol p, unsigned nprocs,
-                    const MatmulParams& params,
-                    const harness::ObsConfig* obs) {
-  harness::MachineConfig cfg;
-  cfg.protocol = p;
-  cfg.nprocs = nprocs;
-  if (obs) cfg.obs = *obs;
+KernelResult run_matmul(const harness::MachineConfig& cfg, const MatmulParams& params) {
   harness::Machine m(cfg);
-  auto barrier = make_barrier(m, params.barrier);
+  const unsigned nprocs = cfg.nprocs;
+  auto barrier = harness::make_barrier(m, params.barrier);
 
   const unsigned n = params.dim;
   // Row-major shared matrices; A and C rows homed at their owning

@@ -1,10 +1,10 @@
 // Application kernels: small whole-program workloads in the style of the
 // SPLASH-2 kernels the paper's methodology targets (its figure-6 snippet
-// is lifted from Barnes-Hut). Each kernel builds its own machine, runs to
-// completion, CHECKS ITS NUMERICAL RESULT against a host-side oracle, and
-// returns cycles + categorized traffic -- so protocol/construct choices
-// can be compared at application level (bench/app_suite) with correctness
-// enforced on every run.
+// is lifted from Barnes-Hut). Each kernel builds a machine from the config
+// it is given, runs to completion, CHECKS ITS NUMERICAL RESULT against a
+// host-side oracle, and returns cycles + categorized traffic -- so
+// protocol/construct choices can be compared at application level
+// (bench/app_suite) with correctness enforced on every run.
 //
 // Kernels:
 //   - sor:        red-black successive over-relaxation on a 1D rod;
@@ -26,7 +26,7 @@
 namespace ccsim::apps {
 
 /// Outcome of one kernel run: cycles, counters and the observer sections
-/// the run's ObsConfig switched on (avg_latency and latency stay empty),
+/// the config's ObsConfig switched on (avg_latency and latency stay empty),
 /// plus `correct`, the oracle check; benches and tests must treat false as
 /// a hard failure.
 struct KernelResult : harness::RunResult {
@@ -38,9 +38,7 @@ struct SorParams {
   int sweeps = 32;
   harness::BarrierKind barrier = harness::BarrierKind::Dissemination;
 };
-KernelResult run_sor(proto::Protocol p, unsigned nprocs,
-                    const SorParams& params,
-                    const harness::ObsConfig* obs = nullptr);
+KernelResult run_sor(const harness::MachineConfig& cfg, const SorParams& params);
 
 struct HistogramParams {
   unsigned buckets = 16;        ///< shared buckets (one lock per bucket)
@@ -48,9 +46,8 @@ struct HistogramParams {
   harness::LockKind lock = harness::LockKind::Ticket;
   std::uint64_t seed = 99;
 };
-KernelResult run_histogram(proto::Protocol p, unsigned nprocs,
-                    const HistogramParams& params,
-                    const harness::ObsConfig* obs = nullptr);
+KernelResult run_histogram(const harness::MachineConfig& cfg,
+                           const HistogramParams& params);
 
 struct NbodyParams {
   unsigned bodies_per_proc = 12;
@@ -58,17 +55,14 @@ struct NbodyParams {
   bool parallel_reduction = true;  ///< figure 6 vs figure 7 strategy
   std::uint64_t seed = 7;
 };
-KernelResult run_nbody_step(proto::Protocol p, unsigned nprocs,
-                    const NbodyParams& params,
-                    const harness::ObsConfig* obs = nullptr);
+KernelResult run_nbody_step(const harness::MachineConfig& cfg, const NbodyParams& params);
 
 struct PipelineParams {
   unsigned items = 128;        ///< items fed into the first stage
   unsigned queue_slots = 4;    ///< ring-buffer capacity between stages
 };
-KernelResult run_pipeline(proto::Protocol p, unsigned nprocs,
-                    const PipelineParams& params,
-                    const harness::ObsConfig* obs = nullptr);
+KernelResult run_pipeline(const harness::MachineConfig& cfg,
+                          const PipelineParams& params);
 
 struct MatmulParams {
   unsigned dim = 8;  ///< square matrix dimension (rows split across procs)
@@ -78,8 +72,6 @@ struct MatmulParams {
 /// C = A x B over shared matrices: each processor owns a band of C's rows,
 /// reads all of B (read-shared) and its band of A; a barrier separates the
 /// fill phase from the multiply.
-KernelResult run_matmul(proto::Protocol p, unsigned nprocs,
-                    const MatmulParams& params,
-                    const harness::ObsConfig* obs = nullptr);
+KernelResult run_matmul(const harness::MachineConfig& cfg, const MatmulParams& params);
 
 } // namespace ccsim::apps

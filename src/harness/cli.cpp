@@ -28,12 +28,17 @@ std::string usage(std::string_view prog, const Flags& table) {
   return out + "\n";
 }
 
-void parse_flags(int argc, char** argv, std::string_view prog, const Flags& table) {
+void parse_flags(int argc, char** argv, std::string_view prog, const Flags& table,
+                 std::vector<std::string>* positional) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::cout << usage(prog, table);
       std::exit(0);
+    }
+    if (positional && !arg.starts_with('-')) {
+      positional->emplace_back(arg);
+      continue;
     }
     const std::size_t eq = arg.find('=');
     const auto f = std::find_if(table.begin(), table.end(), [&](const Flag& x) {
@@ -115,6 +120,12 @@ double parse_double(std::string_view s) {
 double parse_scale(std::string_view s) {
   const double v = parse_double(s);
   if (v <= 0.0 || v > 1.0) throw std::invalid_argument("scale must be in (0, 1]");
+  return v;
+}
+
+double parse_positive(std::string_view s) {
+  const double v = parse_double(s);
+  if (v <= 0.0) throw std::invalid_argument("must be > 0");
   return v;
 }
 

@@ -73,8 +73,11 @@ using Flags = std::vector<Flag>;
 [[nodiscard]] std::string usage(std::string_view prog, const Flags& table);
 
 /// Apply argv[1..argc) to `table` in order. --help or -h prints
-/// usage(prog, table) to stdout and exits 0.
-void parse_flags(int argc, char** argv, std::string_view prog, const Flags& table);
+/// usage(prog, table) to stdout and exits 0. With `positional`, arguments
+/// that do not start with '-' (and are not a flag's value) are appended to
+/// it instead of rejected.
+void parse_flags(int argc, char** argv, std::string_view prog, const Flags& table,
+                 std::vector<std::string>* positional = nullptr);
 
 /// argv[0] without its directory and extension ("fig08_lock_latency").
 [[nodiscard]] std::string program_name(const char* argv0);
@@ -90,6 +93,8 @@ void parse_flags(int argc, char** argv, std::string_view prog, const Flags& tabl
 [[nodiscard]] unsigned parse_nodes(std::string_view s);
 /// A scale factor in (0, 1].
 [[nodiscard]] double parse_scale(std::string_view s);
+/// A finite number > 0.
+[[nodiscard]] double parse_positive(std::string_view s);
 /// A percentage in [0, 100].
 [[nodiscard]] double parse_percent(std::string_view s);
 /// WI, PU or CU (any case).

@@ -1,33 +1,8 @@
 #include "harness/figure.hpp"
 
-#include <ostream>
-
 namespace ccsim::harness {
 
-Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-void Table::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
-
-std::string Table::num(double v, int precision) {
-  return stats::Table::num(v, precision);
-}
-
-std::string Table::num(std::uint64_t v) { return stats::Table::num(v); }
-
-stats::Table Table::build() const {
-  stats::Table t = stats::Table::figure(headers_);
-  for (const auto& r : rows_) t.add_row(r);
-  return t;
-}
-
-void Table::print(std::ostream& os) const { build().print(os); }
-
-void Table::print_csv(std::ostream& os) const { build().print_csv(os); }
-
-const std::vector<unsigned>& paper_proc_counts() {
-  static const std::vector<unsigned> ps{1, 2, 4, 8, 16, 32};
-  return ps;
-}
+using stats::Table;
 
 std::vector<std::string> miss_headers() {
   return {"cold", "true", "false", "evict", "drop", "total", "excl-req"};

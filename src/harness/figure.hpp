@@ -1,38 +1,13 @@
-// Small table / CSV formatting helpers for the figure-reproduction benches.
+// Miss and update breakdown columns for the figure-reproduction benches.
 #pragma once
 
 #include "stats/counters.hpp"
 #include "stats/table.hpp"
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace ccsim::harness {
-
-/// Fixed-width text table, printed in the style of the paper's figures
-/// (one series per row, one machine size / category per column). Thin
-/// wrapper over stats::Table::figure, kept so the benches read unchanged.
-class Table {
-public:
-  explicit Table(std::vector<std::string> headers);
-
-  void add_row(std::vector<std::string> cells);
-  void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
-
-  static std::string num(double v, int precision = 1);
-  static std::string num(std::uint64_t v);
-
-private:
-  [[nodiscard]] stats::Table build() const;
-
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-/// The machine sizes the paper sweeps.
-[[nodiscard]] const std::vector<unsigned>& paper_proc_counts();
 
 /// Cells for a categorized miss breakdown (cold/true/false/evict/drop + excl).
 [[nodiscard]] std::vector<std::string> miss_cells(const stats::MissCounts& m);

@@ -60,12 +60,11 @@ std::string_view tag(ReductionKind k) noexcept {
   return k == ReductionKind::Parallel ? "pr" : "sr";
 }
 
-namespace {
-std::unique_ptr<sync::Lock> make_lock(Machine& m, LockKind kind) {
+std::unique_ptr<sync::Lock> make_lock(Machine& m, LockKind kind, NodeId home) {
   switch (kind) {
-    case LockKind::Ticket: return std::make_unique<sync::TicketLock>(m);
-    case LockKind::Mcs: return std::make_unique<sync::McsLock>(m, false);
-    case LockKind::UcMcs: return std::make_unique<sync::McsLock>(m, true);
+    case LockKind::Ticket: return std::make_unique<sync::TicketLock>(m, home);
+    case LockKind::Mcs: return std::make_unique<sync::McsLock>(m, false, home);
+    case LockKind::UcMcs: return std::make_unique<sync::McsLock>(m, true, home);
   }
   throw std::invalid_argument("bad lock kind");
 }
@@ -81,7 +80,6 @@ std::unique_ptr<sync::Barrier> make_barrier(Machine& m, BarrierKind kind) {
   }
   throw std::invalid_argument("bad barrier kind");
 }
-} // namespace
 
 void capture_obs(RunResult& r, const Machine& m) {
   r.samples = m.samples();
@@ -94,8 +92,14 @@ void capture_obs(RunResult& r, const Machine& m) {
 
 RunResult run_lock_experiment(const MachineConfig& cfg, LockKind kind,
                               const LockParams& params) {
+  return run_lock_experiment(
+      cfg, [kind](Machine& m) { return make_lock(m, kind); }, params);
+}
+
+RunResult run_lock_experiment(const MachineConfig& cfg, const LockFactory& make,
+                              const LockParams& params) {
   Machine m(cfg);
-  auto lock = make_lock(m, kind);
+  const std::unique_ptr<sync::Lock> lock = make(m);
 
   const std::uint64_t iters = std::max<std::uint64_t>(1, params.total_acquires / cfg.nprocs);
   const std::uint64_t executed = iters * cfg.nprocs;

@@ -9,7 +9,14 @@
 #include "stats/histogram.hpp"
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string_view>
+
+namespace ccsim::sync {
+class Lock;
+class Barrier;
+} // namespace ccsim::sync
 
 namespace ccsim::harness {
 
@@ -59,6 +66,12 @@ struct RunResult {
   obs::SharingReport sharing;
 };
 
+/// The lock of `kind` on `m`, its shared words homed at node `home`.
+[[nodiscard]] std::unique_ptr<sync::Lock> make_lock(Machine& m, LockKind kind,
+                                                    NodeId home = 0);
+/// The barrier of `kind` on `m`.
+[[nodiscard]] std::unique_ptr<sync::Barrier> make_barrier(Machine& m, BarrierKind kind);
+
 /// Fill `r`'s observability sections (samples through sharing) from a
 /// machine that has finished its run.
 void capture_obs(RunResult& r, const Machine& m);
@@ -79,6 +92,13 @@ struct LockParams {
 };
 
 RunResult run_lock_experiment(const MachineConfig& cfg, LockKind kind,
+                              const LockParams& params);
+
+/// Builds the lock a lock experiment runs on, from the experiment's Machine.
+using LockFactory = std::function<std::unique_ptr<sync::Lock>(Machine&)>;
+
+/// The same experiment on the lock `make` builds (TAS/TTAS, layout variants).
+RunResult run_lock_experiment(const MachineConfig& cfg, const LockFactory& make,
                               const LockParams& params);
 
 /// Barrier experiment (section 4.2): `episodes` barrier episodes in a

@@ -9,6 +9,42 @@
 
 namespace ccsim::obs {
 
+namespace {
+
+// Classifier thresholds (see classify() for the decision order).
+/// Migratory: average readers per write interval must not exceed this.
+constexpr double kMigratoryReadersMax = 2.0;
+/// Widely-shared: average readers per write interval at or above this.
+constexpr double kWidelyAvgReaders = 3.0;
+/// Widely-shared (alternative trigger): some interval saw at least
+/// max(this, nprocs/2) distinct readers.
+constexpr std::uint64_t kWidelyMinReaders = 4;
+/// Read-mostly: completed reads at least this multiple of writes.
+constexpr double kReadMostlyRatio = 16.0;
+
+// Cost-model parameters: approximate cycles per replayed event, derived
+// from the machine's MemTimings/network constants and calibrated against
+// measured sweeps at the default machine size (tools/ccadvise validates
+// the calibration; DESIGN.md section 14 derives each one).
+/// WI: acquire exclusive ownership (2-3 hops, invalidation fan-out and
+/// acks included -- they overlap the acquisition round trip).
+constexpr double kWriteAcq = 60.0;
+constexpr double kReadMiss = 55.0;     ///< WI: re-fetch an invalidated block
+constexpr double kUpdate = 14.0;       ///< PU: one update delivery + ack
+/// CU: one update delivery + ack + competitive-counter maintenance.
+/// Slightly above PU's kUpdate: where the replayed delivery sets are
+/// equal, plain update wins.
+constexpr double kCuUpdate = 15.0;
+constexpr double kWriteThrough = 12.0; ///< PU/CU: word write-through to home
+constexpr double kLocalWrite = 1.0;    ///< write hit in a writable copy
+/// CU: re-fetch after a competitive drop. Calibrated at twice a plain
+/// read miss: the drop self-invalidates a line its node was actively
+/// polling, so the miss serializes with the spin loop and the re-fetched
+/// line immediately re-attracts the update stream it just shed.
+constexpr double kRefetch = 110.0;
+
+} // namespace
+
 std::string_view to_string(SharingPattern p) noexcept {
   switch (p) {
     case SharingPattern::Private: return "private";
@@ -44,9 +80,8 @@ double SharingReport::total_cost(proto::Protocol p) const noexcept {
   return 0.0;
 }
 
-SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold,
-                               SharingConfig cfg)
-    : nprocs_(nprocs), cu_threshold_(cu_threshold), cfg_(cfg) {
+SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold)
+    : nprocs_(nprocs), cu_threshold_(cu_threshold) {
   if (nprocs == 0 || nprocs > mem::kMaxNodes)
     throw std::invalid_argument("SharingTracker: nprocs must be in [1, " +
                                 std::to_string(mem::kMaxNodes) +
@@ -217,7 +252,7 @@ SharingPattern SharingTracker::classify(const BlockStats& s) const {
                            : 0.0;
   if (std::popcount(s.writers) >= 2 && s.handoffs != 0 &&
       2 * s.migratory_handoffs >= s.handoffs &&
-      avg_r <= cfg_.migratory_readers_max)
+      avg_r <= kMigratoryReadersMax)
     return SharingPattern::Migratory;
   // Read-mostly outranks widely-shared: a block with rare writes is
   // read-mostly however many nodes read it. Raw reads (not episodes)
@@ -225,18 +260,17 @@ SharingPattern SharingTracker::classify(const BlockStats& s) const {
   // episode ratio above `widely_avg_readers` would always have triggered
   // the widely-shared test instead.
   if (static_cast<double>(s.reads) >=
-      cfg_.read_mostly_ratio * static_cast<double>(s.writes))
+      kReadMostlyRatio * static_cast<double>(s.writes))
     return SharingPattern::ReadMostly;
-  if (avg_r >= cfg_.widely_avg_readers ||
+  if (avg_r >= kWidelyAvgReaders ||
       s.max_interval_readers >=
-          std::max<std::uint64_t>(cfg_.widely_min_readers, nprocs_ / 2))
+          std::max<std::uint64_t>(kWidelyMinReaders, nprocs_ / 2))
     return SharingPattern::WidelyShared;
   return SharingPattern::Mixed;
 }
 
 void SharingTracker::project(const BlockStats& s, double& wi, double& pu,
                              double& cu) const {
-  const SharingCostParams& c = cfg_.cost;
   const int accessors = std::popcount(s.readers | s.writers);
   const double w = static_cast<double>(s.writes);
   const double r = static_cast<double>(s.reader_episodes);
@@ -245,9 +279,9 @@ void SharingTracker::project(const BlockStats& s, double& wi, double& pu,
     // One node: WI writes locally after one ownership acquisition; PU pays
     // one write-through before the private-block grant; CU (no private
     // mode) writes through forever.
-    wi = (s.writes != 0 ? c.write_acq : 0.0) + w * c.local_write;
-    pu = (s.writes != 0 ? c.write_through : 0.0) + w * c.local_write;
-    cu = w * c.write_through;
+    wi = (s.writes != 0 ? kWriteAcq : 0.0) + w * kLocalWrite;
+    pu = (s.writes != 0 ? kWriteThrough : 0.0) + w * kLocalWrite;
+    cu = w * kWriteThrough;
     return;
   }
 
@@ -259,20 +293,20 @@ void SharingTracker::project(const BlockStats& s, double& wi, double& pu,
   // acquisition. Each reader episode then re-fetches the block; the
   // invalidation fan-out itself rides inside `write_acq`.
   wi = static_cast<double>(std::max(s.runs, s.intervals_with_readers)) *
-           c.write_acq +
-       r * c.read_miss;
+           kWriteAcq +
+       r * kReadMiss;
 
   // PU: each write goes through the home and is multicast to every other
   // node holding a copy (the replayed multicast set).
-  pu = w * c.write_through + static_cast<double>(s.pu_updates) * c.update;
+  pu = w * kWriteThrough + static_cast<double>(s.pu_updates) * kUpdate;
 
   // CU: the replayed competitive counter says exactly which of those
   // deliveries survive the threshold and how many re-fetches the drops
-  // cost (see SharingCostParams for why `cu_update` and `refetch` are
-  // dearer than their PU/WI counterparts).
-  cu = w * c.write_through +
-       static_cast<double>(s.cu_updates) * c.cu_update +
-       static_cast<double>(s.cu_refetches) * c.refetch;
+  // cost (see kCuUpdate and kRefetch for why they are dearer than their
+  // PU/WI counterparts).
+  cu = w * kWriteThrough +
+       static_cast<double>(s.cu_updates) * kCuUpdate +
+       static_cast<double>(s.cu_refetches) * kRefetch;
 }
 
 SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {

@@ -49,7 +49,9 @@ class SharedAllocator;
 namespace ccsim::obs {
 
 /// The taxonomy (paper sections 5-7; DESIGN.md section 14). Mixed is the
-/// fall-through for blocks matching no clean pattern.
+/// fall-through for blocks matching no clean pattern. The classifier's
+/// thresholds and the cost model's cycle prices are constants in
+/// sharing.cpp.
 enum class SharingPattern : std::uint8_t {
   Private,           ///< one node accounts for every access
   ReadOnly,          ///< never written (after poke-time initialization)
@@ -63,44 +65,6 @@ enum class SharingPattern : std::uint8_t {
 inline constexpr std::size_t kSharingPatterns = 8;
 
 [[nodiscard]] std::string_view to_string(SharingPattern p) noexcept;
-
-/// Cost-model parameters: approximate cycles per replayed event, derived
-/// from the machine's MemTimings/network constants and calibrated against
-/// measured sweeps at the default machine size (tools/ccadvise validates
-/// the calibration; DESIGN.md section 14 derives each one). All doubles
-/// so sweeps can recalibrate them.
-struct SharingCostParams {
-  /// WI: acquire exclusive ownership (2-3 hops, invalidation fan-out and
-  /// acks included -- they overlap the acquisition round trip).
-  double write_acq = 60.0;
-  double read_miss = 55.0;     ///< WI: re-fetch an invalidated block
-  double update = 14.0;        ///< PU: one update delivery + ack
-  /// CU: one update delivery + ack + competitive-counter maintenance.
-  /// Slightly above PU's `update`: where the replayed delivery sets are
-  /// equal, plain update wins.
-  double cu_update = 15.0;
-  double write_through = 12.0; ///< PU/CU: word write-through to the home
-  double local_write = 1.0;    ///< write hit in a writable copy
-  /// CU: re-fetch after a competitive drop. Calibrated at twice a plain
-  /// read miss: the drop self-invalidates a line its node was actively
-  /// polling, so the miss serializes with the spin loop and the re-fetched
-  /// line immediately re-attracts the update stream it just shed.
-  double refetch = 110.0;
-};
-
-/// Classifier thresholds (see classify() for the decision order).
-struct SharingConfig {
-  /// Migratory: average readers per write interval must not exceed this.
-  double migratory_readers_max = 2.0;
-  /// Widely-shared: average readers per write interval at or above this.
-  double widely_avg_readers = 3.0;
-  /// Widely-shared (alternative trigger): some interval saw at least
-  /// max(this, nprocs/2) distinct readers.
-  unsigned widely_min_readers = 4;
-  /// Read-mostly: completed reads at least this multiple of writes.
-  double read_mostly_ratio = 16.0;
-  SharingCostParams cost{};
-};
 
 /// The classifier's output for one run. Opt-in: enabled() mirrors
 /// ObsConfig::sharing, and the "sharing" JSON section appears only when on
@@ -181,8 +145,7 @@ class SharingTracker : public Observer {
 public:
   /// Throws std::invalid_argument unless nprocs is in [1, mem::kMaxNodes]
   /// (accessor sets are 64-bit node bitmaps).
-  explicit SharingTracker(unsigned nprocs, unsigned cu_threshold,
-                          SharingConfig cfg = {});
+  explicit SharingTracker(unsigned nprocs, unsigned cu_threshold);
 
   // Observer hooks. All are O(1) per call and allocate only on the first
   // touch of a block; none reads the `word` argument. on_poke stays a no-op:
@@ -214,7 +177,6 @@ public:
   /// resolves symbolic names for the per-allocation aggregation.
   [[nodiscard]] SharingReport report(const mem::SharedAllocator* alloc) const;
 
-  [[nodiscard]] const SharingConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t touched_blocks() const noexcept {
     return blocks_.size();
   }
@@ -261,7 +223,6 @@ private:
 
   unsigned nprocs_;
   unsigned cu_threshold_;
-  SharingConfig cfg_;
   /// Ordered map: deterministic iteration for byte-stable reports.
   std::map<mem::BlockAddr, BlockStats> blocks_;
   bool finalized_ = false;

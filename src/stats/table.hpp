@@ -1,9 +1,9 @@
 // Shared fixed-width stdout table formatting.
 //
 // One helper behind every aligned table the project prints: the bench
-// figure tables (harness::Table delegates here), the ccperf host-profile
-// table, stats::print_profile's cycle-breakdown rows, and the sharing /
-// advisor reports. Two column modes:
+// figure tables (Table::figure), the ccperf host-profile table,
+// stats::print_profile's cycle-breakdown rows, and the sharing / advisor
+// reports. Two column modes:
 //
 //   - auto  (width == 0): the column is sized to its widest cell
 //     (header included), the figure-table style;

@@ -14,6 +14,13 @@ using proto::Protocol;
 
 using Combo = std::tuple<Protocol, unsigned>;
 
+harness::MachineConfig machine(Protocol p, unsigned n) {
+  harness::MachineConfig cfg;
+  cfg.protocol = p;
+  cfg.nprocs = n;
+  return cfg;
+}
+
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   return std::string(proto::to_string(std::get<0>(info.param))) + "_" +
          std::to_string(std::get<1>(info.param));
@@ -32,7 +39,7 @@ TEST_P(Apps, SorMatchesOracle) {
   apps::SorParams params;
   params.sweeps = 12;
   params.cells_per_proc = 10;
-  const auto r = apps::run_sor(p, n, params);
+  const auto r = apps::run_sor(machine(p, n), params);
   EXPECT_TRUE(r.correct);
   EXPECT_GT(r.cycles, 0u);
 }
@@ -43,14 +50,14 @@ TEST_P(Apps, SorWithCentralBarrier) {
   params.sweeps = 8;
   params.cells_per_proc = 6;
   params.barrier = harness::BarrierKind::Central;
-  EXPECT_TRUE(apps::run_sor(p, n, params).correct);
+  EXPECT_TRUE(apps::run_sor(machine(p, n), params).correct);
 }
 
 TEST_P(Apps, HistogramExactCounts) {
   const auto& [p, n] = GetParam();
   apps::HistogramParams params;
   params.items_per_proc = 40;
-  const auto r = apps::run_histogram(p, n, params);
+  const auto r = apps::run_histogram(machine(p, n), params);
   EXPECT_TRUE(r.correct);
 }
 
@@ -60,7 +67,7 @@ TEST_P(Apps, HistogramWithMcsLocks) {
   params.items_per_proc = 30;
   params.buckets = 4;  // heavier per-lock contention
   params.lock = harness::LockKind::Mcs;
-  EXPECT_TRUE(apps::run_histogram(p, n, params).correct);
+  EXPECT_TRUE(apps::run_histogram(machine(p, n), params).correct);
 }
 
 TEST_P(Apps, NbodyParallelReduction) {
@@ -68,7 +75,7 @@ TEST_P(Apps, NbodyParallelReduction) {
   apps::NbodyParams params;
   params.steps = 10;
   params.parallel_reduction = true;
-  EXPECT_TRUE(apps::run_nbody_step(p, n, params).correct);
+  EXPECT_TRUE(apps::run_nbody_step(machine(p, n), params).correct);
 }
 
 TEST_P(Apps, NbodySequentialReduction) {
@@ -76,14 +83,14 @@ TEST_P(Apps, NbodySequentialReduction) {
   apps::NbodyParams params;
   params.steps = 10;
   params.parallel_reduction = false;
-  EXPECT_TRUE(apps::run_nbody_step(p, n, params).correct);
+  EXPECT_TRUE(apps::run_nbody_step(machine(p, n), params).correct);
 }
 
 TEST_P(Apps, PipelineChecksum) {
   const auto& [p, n] = GetParam();
   apps::PipelineParams params;
   params.items = 60;
-  const auto r = apps::run_pipeline(p, n, params);
+  const auto r = apps::run_pipeline(machine(p, n), params);
   EXPECT_TRUE(r.correct);
 }
 
@@ -92,14 +99,14 @@ TEST_P(Apps, PipelineTinyQueues) {
   apps::PipelineParams params;
   params.items = 40;
   params.queue_slots = 1;  // fully synchronous hand-off
-  EXPECT_TRUE(apps::run_pipeline(p, n, params).correct);
+  EXPECT_TRUE(apps::run_pipeline(machine(p, n), params).correct);
 }
 
 TEST_P(Apps, MatmulMatchesOracle) {
   const auto& [p, n] = GetParam();
   apps::MatmulParams params;
   params.dim = 8;
-  const auto r = apps::run_matmul(p, n, params);
+  const auto r = apps::run_matmul(machine(p, n), params);
   EXPECT_TRUE(r.correct);
 }
 
@@ -108,7 +115,7 @@ TEST_P(Apps, MatmulWithCentralBarrier) {
   apps::MatmulParams params;
   params.dim = 6;
   params.barrier = harness::BarrierKind::Central;
-  EXPECT_TRUE(apps::run_matmul(p, n, params).correct);
+  EXPECT_TRUE(apps::run_matmul(machine(p, n), params).correct);
 }
 
 TEST(AppsHybrid, KernelsRunOnHybridMachines) {
@@ -120,32 +127,53 @@ TEST(AppsHybrid, KernelsRunOnHybridMachines) {
   apps::SorParams sor;
   sor.sweeps = 8;
   sor.cells_per_proc = 6;
-  EXPECT_TRUE(apps::run_sor(Protocol::Hybrid, 4, sor).correct);
+  EXPECT_TRUE(apps::run_sor(machine(Protocol::Hybrid, 4), sor).correct);
   apps::PipelineParams pipe;
   pipe.items = 30;
-  EXPECT_TRUE(apps::run_pipeline(Protocol::Hybrid, 4, pipe).correct);
+  EXPECT_TRUE(apps::run_pipeline(machine(Protocol::Hybrid, 4), pipe).correct);
   apps::MatmulParams mat;
   mat.dim = 6;
-  EXPECT_TRUE(apps::run_matmul(Protocol::Hybrid, 4, mat).correct);
+  EXPECT_TRUE(apps::run_matmul(machine(Protocol::Hybrid, 4), mat).correct);
 }
 
 TEST(AppsObs, KernelResultCarriesTheProfile) {
-  harness::ObsConfig obs;
-  obs.profile = true;
+  harness::MachineConfig cfg = machine(Protocol::WI, 4);
+  cfg.obs.profile = true;
   apps::SorParams params;
   params.sweeps = 4;
   params.cells_per_proc = 6;
-  const auto r = apps::run_sor(Protocol::WI, 4, params, &obs);
+  const auto r = apps::run_sor(cfg, params);
   ASSERT_TRUE(r.correct);
   EXPECT_TRUE(r.profile.enabled());
   EXPECT_TRUE(r.profile.conserved());
   EXPECT_EQ(r.profile.wall, r.cycles);
 }
 
+TEST(AppsConfig, KernelsRunOnTheConfigTheyAreGiven) {
+  // Fields beyond protocol and size reach the kernel's machine: sequential
+  // consistency stalls every store and full link contention delays
+  // messages, and the oracle still holds under both.
+  apps::SorParams params;
+  params.sweeps = 6;
+  const auto base = apps::run_sor(machine(Protocol::PU, 8), params);
+  harness::MachineConfig sc = machine(Protocol::PU, 8);
+  sc.consistency = proto::Consistency::Sequential;
+  const auto seq = apps::run_sor(sc, params);
+  harness::MachineConfig link = machine(Protocol::PU, 8);
+  link.net.link_contention = true;
+  const auto linked = apps::run_sor(link, params);
+  ASSERT_TRUE(base.correct);
+  EXPECT_TRUE(seq.correct);
+  EXPECT_TRUE(linked.correct);
+  EXPECT_GT(seq.cycles, base.cycles);
+  EXPECT_NE(linked.cycles, base.cycles);
+}
+
 TEST(AppsTraffic, PipelineUpdatesAreUseful) {
   // Producer/consumer flag traffic is the best case for update protocols:
   // most updates land exactly where the consumer spins.
-  const auto r = apps::run_pipeline(Protocol::PU, 6, {.items = 80, .queue_slots = 4});
+  const auto r =
+      apps::run_pipeline(machine(Protocol::PU, 6), {.items = 80, .queue_slots = 4});
   ASSERT_TRUE(r.correct);
   EXPECT_GT(r.counters.updates.useful() * 3, r.counters.updates.total() * 2)
       << "expected >= ~2/3 useful updates in the pipeline";
@@ -154,8 +182,8 @@ TEST(AppsTraffic, PipelineUpdatesAreUseful) {
 TEST(AppsTraffic, SorUpdateBarrierBeatsWi) {
   apps::SorParams params;
   params.sweeps = 16;
-  const auto wi = apps::run_sor(Protocol::WI, 8, params);
-  const auto pu = apps::run_sor(Protocol::PU, 8, params);
+  const auto wi = apps::run_sor(machine(Protocol::WI, 8), params);
+  const auto pu = apps::run_sor(machine(Protocol::PU, 8), params);
   ASSERT_TRUE(wi.correct);
   ASSERT_TRUE(pu.correct);
   EXPECT_LT(pu.cycles, wi.cycles)

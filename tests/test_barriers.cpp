@@ -17,18 +17,6 @@ using harness::Machine;
 using harness::MachineConfig;
 using proto::Protocol;
 
-std::unique_ptr<sync::Barrier> make_barrier(Machine& m, BarrierKind k) {
-  switch (k) {
-    case BarrierKind::Central: return std::make_unique<sync::CentralBarrier>(m);
-    case BarrierKind::Dissemination:
-      return std::make_unique<sync::DisseminationBarrier>(m);
-    case BarrierKind::Tree: return std::make_unique<sync::TreeBarrier>(m);
-    case BarrierKind::CombiningTree:
-      return std::make_unique<sync::CombiningTreeBarrier>(m);
-  }
-  return nullptr;
-}
-
 using Combo = std::tuple<Protocol, BarrierKind, unsigned>;
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
@@ -62,7 +50,7 @@ TEST_P(BarrierCorrectness, SeparationAcrossEpisodes) {
   cfg.protocol = p;
   cfg.nprocs = n;
   Machine m(cfg);
-  auto barrier = make_barrier(m, k);
+  auto barrier = harness::make_barrier(m, k);
 
   const int episodes = 30;
   std::vector<int> arrived(n, 0);   // episodes entered per proc
@@ -91,7 +79,7 @@ TEST_P(BarrierCorrectness, BackToBackEpisodesDoNotInterfere) {
   cfg.protocol = p;
   cfg.nprocs = n;
   Machine m(cfg);
-  auto barrier = make_barrier(m, k);
+  auto barrier = harness::make_barrier(m, k);
   // Tight loop with zero work: exercises sense reversal / parity flipping.
   const int episodes = 40;
   std::vector<std::uint64_t> done(n, 0);

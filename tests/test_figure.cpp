@@ -15,10 +15,10 @@ namespace {
 
 using namespace ccsim;
 using harness::BenchOptions;
-using harness::Table;
+using stats::Table;
 
 TEST(Table, AlignsColumns) {
-  Table t({"name", "p=1", "p=32"});
+  Table t = Table::figure({"name", "p=1", "p=32"});
   t.add_row({"ticket/WI", "12.5", "2657.1"});
   t.add_row({"MCS/CU", "7.0", "190.0"});
   std::ostringstream os;
@@ -31,7 +31,7 @@ TEST(Table, AlignsColumns) {
 }
 
 TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
+  Table t = Table::figure({"a", "b"});
   t.add_row({"1", "2"});
   std::ostringstream os;
   t.print_csv(os);
@@ -45,7 +45,10 @@ TEST(Table, NumberFormatting) {
 }
 
 TEST(Figure, PaperProcCounts) {
-  EXPECT_EQ(harness::paper_proc_counts(),
+  // The machine sizes the paper sweeps are every bench's default --procs.
+  char prog[] = "bench";
+  char* argv[] = {prog};
+  EXPECT_EQ(harness::parse_bench_args(1, argv).procs,
             (std::vector<unsigned>{1, 2, 4, 8, 16, 32}));
 }
 
@@ -215,6 +218,31 @@ TEST(Cli, ValueParsers) {
   EXPECT_THROW((void)harness::parse_protocol("hybrid"), std::invalid_argument);
   EXPECT_EQ(harness::scaled(0.5, 5000), 2500u);
   EXPECT_EQ(harness::scaled(0.001, 5000), 32u);
+}
+
+TEST(Cli, PositiveNumbers) {
+  // bench_compare's thresholds: a NaN or infinite threshold would switch
+  // its gate off, and a trailing suffix must not be read as a number.
+  EXPECT_DOUBLE_EQ(harness::parse_positive("0.5"), 0.5);
+  EXPECT_DOUBLE_EQ(harness::parse_positive("250"), 250.0);
+  for (const char* bad : {"nan", "inf", "-inf", "5x", "0", "-1", "", " 5"})
+    EXPECT_THROW((void)harness::parse_positive(bad), std::invalid_argument) << bad;
+}
+
+TEST(Cli, PositionalArguments) {
+  double pct = 0;
+  const harness::Flags table{
+      {"--max-regress", "PCT",
+       [&pct](const std::string& v) { pct = harness::parse_positive(v); }}};
+  std::string a0 = "prog", a1 = "base.json", a2 = "--max-regress", a3 = "5",
+              a4 = "cand.json";
+  char* argv[] = {a0.data(), a1.data(), a2.data(), a3.data(), a4.data()};
+  std::vector<std::string> files;
+  harness::parse_flags(5, argv, "prog", table, &files);
+  EXPECT_EQ(files, (std::vector<std::string>{"base.json", "cand.json"}));
+  EXPECT_DOUBLE_EQ(pct, 5.0);
+  // Without a positional list, a bare argument is still rejected.
+  EXPECT_NE(flag_error(table, {"base.json"}).find("unknown argument"), std::string::npos);
 }
 
 TEST(Cli, UsageListsEveryFlag) {

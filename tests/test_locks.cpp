@@ -17,15 +17,6 @@ using harness::Machine;
 using harness::MachineConfig;
 using proto::Protocol;
 
-std::unique_ptr<sync::Lock> make_lock(Machine& m, LockKind k) {
-  switch (k) {
-    case LockKind::Ticket: return std::make_unique<sync::TicketLock>(m);
-    case LockKind::Mcs: return std::make_unique<sync::McsLock>(m, false);
-    case LockKind::UcMcs: return std::make_unique<sync::McsLock>(m, true);
-  }
-  return nullptr;
-}
-
 using Combo = std::tuple<Protocol, LockKind, unsigned>;
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
@@ -54,7 +45,7 @@ TEST_P(LockCorrectness, MutualExclusionAndCount) {
   cfg.protocol = p;
   cfg.nprocs = n;
   Machine m(cfg);
-  auto lock = make_lock(m, k);
+  auto lock = harness::make_lock(m, k);
 
   const int iters = 25;
   int in_cs = 0;
@@ -81,7 +72,7 @@ TEST_P(LockCorrectness, CriticalSectionWritesAreVisibleToNextHolder) {
   cfg.protocol = p;
   cfg.nprocs = n;
   Machine m(cfg);
-  auto lock = make_lock(m, k);
+  auto lock = harness::make_lock(m, k);
   // A shared, non-atomic counter incremented under the lock: any lost
   // update means release consistency or the protocol dropped a write.
   const Addr ctr = m.alloc().allocate_on(0, 8);

@@ -3,7 +3,6 @@
 // JSON emission, the shared stats::Table formatter, and -- the
 // load-bearing guarantee -- zero guest impact: simulated results are
 // byte-identical with the tracker on or off.
-#include "harness/figure.hpp"
 #include "harness/obs_session.hpp"
 #include "harness/workloads.hpp"
 #include "obs/sharing.hpp"
@@ -425,20 +424,6 @@ TEST(StatsTable, CsvIgnoresAlignment) {
   std::ostringstream os;
   t.print_csv(os);
   EXPECT_EQ(os.str(), "a,b\nx,1\n");
-}
-
-TEST(StatsTable, HarnessTableDelegates) {
-  // The bench-facing wrapper must format exactly like the figure-style
-  // stats::Table it is built on.
-  harness::Table h({"series", "p1", "p2"});
-  h.add_row({"WI", "1.0", "2.0"});
-  stats::Table s = stats::Table::figure({"series", "p1", "p2"});
-  s.add_row({"WI", "1.0", "2.0"});
-  std::ostringstream a, b;
-  h.print(a);
-  s.print(b);
-  EXPECT_EQ(a.str(), b.str());
-  EXPECT_EQ(harness::Table::num(3.14159, 2), stats::Table::num(3.14159, 2));
 }
 
 } // namespace

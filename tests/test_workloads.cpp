@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
 namespace {
 
 using namespace ccsim;
@@ -37,6 +42,57 @@ TEST(LockWorkload, AllCombosComplete) {
                                                   {.total_acquires = 160});
       EXPECT_GT(r.cycles, 0u) << proto::to_string(p) << "/" << to_string(k);
     }
+  }
+}
+
+std::string histogram_json(const stats::LatencyHistogram& h) {
+  std::ostringstream os;
+  stats::JsonWriter w(os);
+  stats::histogram_to_json(w, h);
+  return os.str();
+}
+
+TEST(LockWorkload, FactoryOverloadRunsTheSameLoop) {
+  // A factory building the ticket lock is the LockKind::Ticket experiment.
+  for (Protocol p : {Protocol::WI, Protocol::CU}) {
+    const harness::LockParams params{.total_acquires = 400};
+    const auto kind =
+        harness::run_lock_experiment(cfg_of(p, 4), LockKind::Ticket, params);
+    const auto made = harness::run_lock_experiment(
+        cfg_of(p, 4),
+        [](harness::Machine& m) { return std::make_unique<sync::TicketLock>(m); },
+        params);
+    EXPECT_EQ(made.cycles, kind.cycles);
+    EXPECT_DOUBLE_EQ(made.avg_latency, kind.avg_latency);
+    EXPECT_EQ(stats::to_json(made.counters), stats::to_json(kind.counters));
+    EXPECT_EQ(made.latency.count(), 400u);
+    EXPECT_EQ(histogram_json(made.latency), histogram_json(kind.latency));
+  }
+}
+
+/// Acquire and release return at once: two holders can share the section.
+class NoLock final : public sync::Lock {
+public:
+  sim::Task acquire(cpu::Cpu&) override { co_return; }
+  sim::Task release(cpu::Cpu&) override { co_return; }
+};
+
+TEST(LockWorkload, FactoryLocksKeepTheMutualExclusionCheck) {
+  const harness::LockParams params{.total_acquires = 200};
+  const auto tas = harness::run_lock_experiment(
+      cfg_of(Protocol::PU, 4),
+      [](harness::Machine& m) { return std::make_unique<sync::TasLock>(m); }, params);
+  EXPECT_GT(tas.cycles, 0u);
+  EXPECT_EQ(tas.latency.count(), 200u);
+  // The same loop rejects a lock that admits two holders.
+  try {
+    (void)harness::run_lock_experiment(
+        cfg_of(Protocol::PU, 4),
+        [](harness::Machine&) { return std::make_unique<NoLock>(); }, params);
+    ADD_FAILURE() << "a lock without exclusion ran to completion";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mutual exclusion"), std::string::npos)
+        << e.what();
   }
 }
 

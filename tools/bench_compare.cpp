@@ -1,12 +1,13 @@
 // bench_compare: diff two bench-trajectory documents and gate on regressions.
 //
-//   bench_compare BASELINE CANDIDATE [--max-regress=PCT] [--allow-missing]
-//                 [--max-tput-drop=PCT]
+//   bench_compare BASELINE CANDIDATE [--max-regress PCT] [--allow-missing]
+//                 [--max-tput-drop PCT]
 //
 // Prints a per-benchmark table of the paper's latency metric (baseline,
 // candidate, delta) and exits nonzero when any benchmark's latency regresses
 // by more than PCT percent (default 10), or -- unless --allow-missing --
-// when a baseline benchmark is absent from the candidate. Speedups and new
+// when a baseline benchmark is absent from the candidate. Both PCTs must be
+// finite numbers > 0 (anything else exits 2 naming the flag). Speedups and new
 // benchmarks never fail the gate. CI runs this against the committed
 // BENCH_ppopp97.json baseline on every push.
 //
@@ -16,10 +17,10 @@
 // throughput gate applies only to entries where both documents carry a
 // "host" section; baselines written without --host-metrics (including the
 // committed one) compare on latency alone.
+#include "harness/cli.hpp"
 #include "harness/trajectory.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -43,29 +44,19 @@ int main(int argc, char** argv) {
   try {
     std::vector<std::string> files;
     ccsim::harness::CompareOptions opt;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--max-regress=", 0) == 0) {
-        opt.max_regress_pct = std::atof(a.c_str() + 14);
-        if (opt.max_regress_pct <= 0.0)
-          throw std::invalid_argument("--max-regress must be > 0");
-      } else if (a.rfind("--max-tput-drop=", 0) == 0) {
-        opt.max_tput_drop_pct = std::atof(a.c_str() + 16);
-        if (opt.max_tput_drop_pct <= 0.0)
-          throw std::invalid_argument("--max-tput-drop must be > 0");
-      } else if (a == "--allow-missing") {
-        opt.require_all = false;
-      } else if (a == "--help" || a == "-h") {
-        std::printf(
-            "usage: bench_compare BASELINE CANDIDATE"
-            " [--max-regress=PCT] [--allow-missing] [--max-tput-drop=PCT]\n");
-        return 0;
-      } else if (!a.empty() && a[0] == '-') {
-        throw std::invalid_argument("unknown argument: " + a);
-      } else {
-        files.push_back(a);
-      }
-    }
+    const ccsim::harness::Flags flags{
+        {"--max-regress", "PCT",
+         [&opt](const std::string& v) {
+           opt.max_regress_pct = ccsim::harness::parse_positive(v);
+         }},
+        {"--allow-missing", "", [&opt](const std::string&) { opt.require_all = false; }},
+        {"--max-tput-drop", "PCT",
+         [&opt](const std::string& v) {
+           opt.max_tput_drop_pct = ccsim::harness::parse_positive(v);
+         }},
+    };
+    ccsim::harness::parse_flags(argc, argv, "bench_compare BASELINE CANDIDATE", flags,
+                                &files);
     if (files.size() != 2)
       throw std::invalid_argument("expected exactly two trajectory files");
 
