@@ -37,10 +37,10 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "obs/cycle_accounting.hpp"
-#include "obs/hot_blocks.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/perfetto_sink.hpp"
 #include "obs/sampler.hpp"
+#include "obs/sharing.hpp"
 #include "obs/trace.hpp"
 #include "proto/node.hpp"
 #include "proto/protocol.hpp"

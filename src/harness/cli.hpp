@@ -24,11 +24,12 @@
 // Observability (obs_flags; everything off by default; the default output
 // is unchanged):
 //   --json FILE           write machine-readable metrics (counters, interval
-//                         samples, hot-block table) for every run
+//                         samples, hot-block list) for every run
 //   --trace-out FILE      write a structured event trace
 //   --trace-format F      ring | jsonl | perfetto (default perfetto)
 //   --sample-interval N   snapshot counter deltas every N cycles
-//   --hot-top K           report the K hottest blocks (default 16)
+//   --hot-top K           with --json: report the K hottest blocks
+//                         (default 16); rejected without --json
 //   --profile             cycle-accounting profiler: per-category stall
 //                         breakdown and sync-phase latency histograms,
 //                         printed per run and embedded in --json output
@@ -52,6 +53,7 @@
 #include <cctype>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -146,7 +148,7 @@ struct ObsOptions {
   std::string trace_path;  ///< --trace-out: trace file ("" = off)
   obs::TraceFormat trace_format = obs::TraceFormat::Perfetto;
   Cycle sample_interval = 0;  ///< --sample-interval (0 = off)
-  std::size_t hot_top_k = 16; ///< --hot-top
+  std::optional<std::size_t> hot_top_k; ///< --hot-top (needs --json)
   bool profile = false;       ///< --profile (cycle accounting)
   bool host_metrics = false;  ///< --host-metrics (host telemetry)
   bool sharing = false;       ///< --sharing (sharing-pattern classifier)

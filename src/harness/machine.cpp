@@ -41,14 +41,13 @@ Machine::Machine(MachineConfig cfg)
       checker_(cfg.obs.check_invariants
                    ? std::make_unique<obs::InvariantChecker>(cfg.nprocs)
                    : nullptr),
-      sharing_(cfg.obs.sharing ? std::make_unique<obs::SharingTracker>(
-                                     cfg.nprocs, cfg.cu_threshold)
-                               : nullptr),
-      hot_(cfg.obs.hot_blocks ? std::make_unique<obs::HotBlockTable>() : nullptr),
+      tracker_(cfg.obs.sharing || cfg.obs.hot_blocks
+                   ? std::make_unique<obs::SharingTracker>(cfg.nprocs, cfg.cu_threshold)
+                   : nullptr),
       ledger_(cfg.obs.profile
                   ? std::make_unique<obs::CycleLedger>(cfg.nprocs, q_)
                   : nullptr),
-      observers_(attached({checker_.get(), sharing_.get(), hot_.get(), ledger_.get()})),
+      observers_(attached({checker_.get(), tracker_.get(), ledger_.get()})),
       misses_(cfg.nprocs, counters_, observers_),
       updates_(cfg.nprocs, counters_, observers_),
       net_(q_, net::MeshTopology(cfg.nprocs), cfg.net, &counters_.net),
@@ -79,9 +78,8 @@ Machine::Machine(MachineConfig cfg)
   nodes_.reserve(cfg_.nprocs);
   procs_.reserve(cfg_.nprocs);
   for (NodeId i = 0; i < cfg_.nprocs; ++i) {
-    nodes_.push_back(std::make_unique<proto::Node>(cfg_.protocol, i, ctx_,
-                                                   cfg_.cache_bytes, cfg_.wb_entries,
-                                                   cfg_.timings));
+    nodes_.push_back(
+        std::make_unique<proto::Node>(cfg_.protocol, i, ctx_, cfg_.cache_bytes));
     net_.attach(i, *nodes_.back());
     procs_.push_back(std::make_unique<cpu::Processor>(i, q_, nodes_[i]->cache_ctrl()));
     procs_.back()->cpu().set_ledger(ledger_.get());
@@ -159,9 +157,9 @@ Cycle Machine::run(const std::vector<Program>& programs) {
     obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
     checker_->final_audit();
   }
-  if (sharing_) {
+  if (tracker_) {
     obs::ScopedHostCat t(host_.get(), obs::HostCat::ObsHooks);
-    sharing_->finalize();
+    tracker_->finalize();
   }
   updates_.finalize(q_.now());
   if (ledger_) ledger_->finalize(q_.now());
@@ -216,9 +214,9 @@ std::string Machine::diagnose(const std::string& what, unsigned remaining,
   return msg;
 }
 
-std::vector<obs::HotBlockTable::Row> Machine::hot_blocks() const {
-  if (!hot_) return {};
-  return hot_->top(cfg_.obs.hot_top_k, &alloc_);
+std::vector<obs::HotBlock> Machine::hot_blocks() const {
+  if (!cfg_.obs.hot_blocks) return {};
+  return tracker_->hot(cfg_.obs.hot_top_k, &alloc_);
 }
 
 obs::HostPerfReport Machine::host_report() const {
@@ -232,8 +230,8 @@ obs::HostPerfReport Machine::host_report() const {
 }
 
 obs::SharingReport Machine::sharing_report() const {
-  if (!sharing_) return {};
-  return sharing_->report(&alloc_);
+  if (!cfg_.obs.sharing) return {};
+  return tracker_->report(&alloc_);
 }
 
 obs::ProfileSnapshot Machine::profile() const {

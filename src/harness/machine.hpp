@@ -10,7 +10,6 @@
 #include "net/network.hpp"
 #include "obs/cycle_accounting.hpp"
 #include "obs/host_perf.hpp"
-#include "obs/hot_blocks.hpp"
 #include "obs/invariants.hpp"
 #include "obs/sampler.hpp"
 #include "obs/sharing.hpp"
@@ -53,7 +52,8 @@ public:
 struct ObsConfig {
   /// Snapshot counter deltas every N cycles (0 = no sampling).
   Cycle sample_interval = 0;
-  /// Attribute misses/updates/invalidations/home transactions to blocks.
+  /// Attribute misses/updates/invalidations/home transactions to blocks
+  /// (the sharing tracker's hot-block list; see Machine::hot_blocks()).
   bool hot_blocks = false;
   /// How many blocks Machine::hot_blocks() reports.
   std::size_t hot_top_k = 16;
@@ -90,9 +90,7 @@ struct MachineConfig {
   unsigned nprocs = 32;
   proto::Protocol protocol = proto::Protocol::WI;
   std::size_t cache_bytes = 64 * 1024;  ///< direct-mapped, 64 B blocks
-  std::size_t wb_entries = 4;
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
-  mem::MemTimings timings{};
   net::Network::Params net{};
   /// Hybrid machines: protocol for regions without a bind_protocol tag.
   proto::Protocol hybrid_default = proto::Protocol::WI;
@@ -160,7 +158,7 @@ public:
   }
   /// Top-K hottest blocks with allocator-assigned names (empty unless
   /// obs.hot_blocks). Valid after run().
-  [[nodiscard]] std::vector<obs::HotBlockTable::Row> hot_blocks() const;
+  [[nodiscard]] std::vector<obs::HotBlock> hot_blocks() const;
 
   /// The run's cycle accounting (default-constructed snapshot with
   /// enabled() == false unless obs.profile). Valid after run().
@@ -189,8 +187,9 @@ private:
   stats::Counters counters_;
   mem::SharedAllocator alloc_;
   std::unique_ptr<obs::InvariantChecker> checker_;
-  std::unique_ptr<obs::SharingTracker> sharing_;
-  std::unique_ptr<obs::HotBlockTable> hot_;
+  /// Attached when obs.sharing or obs.hot_blocks is set; each report reads
+  /// from it only when its own flag is.
+  std::unique_ptr<obs::SharingTracker> tracker_;
   std::unique_ptr<obs::CycleLedger> ledger_;
   /// The attached observers above, checker first. Filled once, before the
   /// classifiers and ctx_ take spans over it, and never changed after.

@@ -15,6 +15,9 @@ namespace ccsim::harness {
 
 ObsSession::ObsSession(ObsOptions opts, std::string name)
     : opts_(std::move(opts)), name_(std::move(name)) {
+  if (opts_.hot_top_k && opts_.json_path.empty())
+    throw std::invalid_argument(
+        "--hot-top needs --json: hot blocks are attributed only in --json runs");
   if (opts_.trace_path.empty()) return;
   trace_file_.open(opts_.trace_path);
   if (!trace_file_)
@@ -44,7 +47,7 @@ void ObsSession::configure(MachineConfig& cfg, std::string label) {
   label_ = std::move(label);
   cfg.obs.sample_interval = opts_.sample_interval;
   cfg.obs.hot_blocks = !opts_.json_path.empty();
-  cfg.obs.hot_top_k = opts_.hot_top_k;
+  if (opts_.hot_top_k) cfg.obs.hot_top_k = *opts_.hot_top_k;
   cfg.obs.sink = sink_.get();
   cfg.obs.profile = opts_.profile;
   cfg.obs.host_metrics = opts_.host_metrics;
@@ -133,7 +136,7 @@ void write_run_fields(stats::JsonWriter& w, const RunResult& r) {
 
   if (!r.hot.empty()) {
     w.key("hot_blocks").begin_array();
-    for (const obs::HotBlockTable::Row& row : r.hot) {
+    for (const obs::HotBlock& row : r.hot) {
       char addr[24];
       std::snprintf(addr, sizeof addr, "0x%" PRIx64,
                     static_cast<std::uint64_t>(row.base));

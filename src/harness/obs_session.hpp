@@ -22,6 +22,8 @@ namespace ccsim::harness {
 class ObsSession {
 public:
   /// `name` labels the metrics document (typically the bench binary name).
+  /// Throws std::invalid_argument for --hot-top without --json, and
+  /// std::runtime_error when the trace file cannot be opened.
   ObsSession(ObsOptions opts, std::string name);
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;

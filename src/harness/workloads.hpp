@@ -53,7 +53,7 @@ struct RunResult {
   /// Per-interval counter samples (empty unless obs.sample_interval > 0).
   obs::IntervalSeries samples;
   /// Hottest blocks with allocator names (empty unless obs.hot_blocks).
-  std::vector<obs::HotBlockTable::Row> hot;
+  std::vector<obs::HotBlock> hot;
   /// Cycle accounting (enabled() == false unless obs.profile).
   obs::ProfileSnapshot profile;
   /// Coherence-invariant checks performed (0 unless obs.check_invariants).

@@ -87,10 +87,6 @@ public:
   }
   void notify(BlockAddr b);
 
-  [[nodiscard]] bool has_watchers(BlockAddr b) const {
-    return watchers_.contains(b);
-  }
-
 private:
   std::vector<CacheLine> lines_;
   std::unordered_map<BlockAddr, std::vector<std::function<void()>>> watchers_;

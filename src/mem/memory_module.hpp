@@ -4,7 +4,8 @@
 // subsequent words at 1 word/cycle; memory contention is fully modeled
 // (paper, section 3.1) as bank occupancy: each access books the bank from
 // its start until its completion, and a request arriving while the bank is
-// busy waits.
+// busy waits. The service time of each access kind is a constant in
+// memory_module.cpp.
 #pragma once
 
 #include "mem/address.hpp"
@@ -17,19 +18,8 @@
 
 namespace ccsim::mem {
 
-/// Service times for the kinds of work a home performs.
-struct MemTimings {
-  Cycle block_read = 27;  ///< 20-cycle first word + 7 more words
-  Cycle block_write = 8;  ///< buffered writeback absorb
-  Cycle word_read = 20;   ///< atomic read-modify-write reads the word
-  Cycle word_write = 4;   ///< buffered word write (update write-through)
-  Cycle dir_op = 2;       ///< directory-only bookkeeping
-};
-
 class MemoryModule {
 public:
-  explicit MemoryModule(MemTimings t = {}) : timings_(t) {}
-
   enum class AccessKind { BlockRead, BlockWrite, WordRead, WordWrite, DirOnly };
 
   /// Book the bank for one access starting no earlier than `now`.
@@ -44,13 +34,7 @@ public:
   [[nodiscard]] const std::array<std::byte, kBlockSize>& read_block(BlockAddr b);
   void write_block(BlockAddr b, const std::array<std::byte, kBlockSize>& data);
 
-  [[nodiscard]] Cycle busy_until() const noexcept { return busy_until_; }
-  [[nodiscard]] const MemTimings& timings() const noexcept { return timings_; }
-
 private:
-  [[nodiscard]] Cycle service_time(AccessKind kind) const noexcept;
-
-  MemTimings timings_;
   Cycle busy_until_ = 0;
   mutable std::unordered_map<BlockAddr, std::array<std::byte, kBlockSize>> store_;
 };

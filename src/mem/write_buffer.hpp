@@ -16,6 +16,9 @@
 
 namespace ccsim::mem {
 
+/// Write-buffer depth: 4 entries per processor (section 3.1).
+inline constexpr std::size_t kWriteBufferEntries = 4;
+
 struct WriteBufferEntry {
   Addr addr = 0;
   std::size_t size = 0;
@@ -24,12 +27,9 @@ struct WriteBufferEntry {
 
 class WriteBuffer {
 public:
-  explicit WriteBuffer(std::size_t capacity = 4) : capacity_(capacity) {}
-
-  [[nodiscard]] bool full() const noexcept { return entries_.size() >= capacity_; }
+  [[nodiscard]] bool full() const noexcept { return entries_.size() >= kWriteBufferEntries; }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   void push(WriteBufferEntry e) {
     entries_.push_back(e);
@@ -56,7 +56,6 @@ public:
   [[nodiscard]] bool contains_block(BlockAddr b) const;
 
 private:
-  std::size_t capacity_;
   std::deque<WriteBufferEntry> entries_;
   std::uint64_t pushes_ = 0;
   std::size_t peak_ = 0;

@@ -63,7 +63,7 @@ void Network::send(const Message& msg) {
   ++inflight_[msg.dst];
   if (msg.src == msg.dst) {
     if (counters_) ++counters_->local;
-    Cycle arrive = q_.now() + params_.local_latency;
+    Cycle arrive = q_.now() + kLocalLatency;
     if (params_.jitter_max != 0) {
       // Clamp against the previous local delivery: equal timestamps keep
       // scheduling order (seq tie-break), so same-node FIFO is preserved.
@@ -92,7 +92,7 @@ void Network::send(const Message& msg) {
 
   const std::size_t bytes = msg.wire_bytes();
   const Cycle flits =
-      static_cast<Cycle>((bytes + params_.flit_bytes - 1) / params_.flit_bytes);
+      static_cast<Cycle>((bytes + kFlitBytes - 1) / kFlitBytes);
   const unsigned hops = topo_.hops(msg.src, msg.dst);
 
   // Source port: the tail flit leaves `flits` cycles after injection starts.
@@ -111,13 +111,13 @@ void Network::send(const Message& msg) {
     while (at != msg.dst) {
       const NodeId next = topo_.next_hop(at, msg.dst);
       Cycle& busy = link_free_[static_cast<std::size_t>(at) * topo_.positions() + next];
-      head = std::max(head + params_.switch_delay, busy);
+      head = std::max(head + kSwitchDelay, busy);
       busy = head + flits;
       at = next;
     }
     head_arrival = head;
   } else {
-    head_arrival = start + params_.switch_delay * hops;
+    head_arrival = start + kSwitchDelay * hops;
   }
 
   // Destination port: ejection serializes; the message is delivered when its

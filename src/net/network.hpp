@@ -15,6 +15,7 @@
 #include "sim/rng.hpp"
 #include "stats/counters.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,14 @@ class TraceLog;
 }
 
 namespace ccsim::net {
+
+/// Per-hop header latency: each switch adds 2 cycles (section 3.1).
+inline constexpr Cycle kSwitchDelay = 2;
+/// One flit per cycle over the 16-bit datapath (section 3.1).
+inline constexpr std::size_t kFlitBytes = 2;
+/// Node-internal delivery, which bypasses the network. Section 3.1 gives
+/// no figure; ccsim charges one cycle.
+inline constexpr Cycle kLocalLatency = 1;
 
 /// Receiver of delivered messages; each node registers one.
 class MessageSink {
@@ -35,9 +44,6 @@ public:
 class Network {
 public:
   struct Params {
-    Cycle switch_delay = 2;       ///< per-hop header latency
-    std::size_t flit_bytes = 2;   ///< 16-bit datapath
-    Cycle local_latency = 1;      ///< node-internal delivery (no network)
     /// Model wormhole channel contention on every link of the
     /// dimension-ordered route, not just at the endpoints. The paper's
     /// machine models source/destination contention only (section 3.1);
@@ -77,9 +83,6 @@ public:
   void send(const Message& msg);
 
   [[nodiscard]] const MeshTopology& topology() const noexcept { return topo_; }
-
-  /// Earliest cycle at which node n's injection port is free (testing aid).
-  [[nodiscard]] Cycle inject_free_at(NodeId n) const { return inject_free_[n]; }
 
   /// Messages sent to node `n` and not yet delivered (watchdog diagnostics).
   [[nodiscard]] std::uint64_t in_flight(NodeId n) const { return inflight_[n]; }

@@ -98,7 +98,7 @@ struct HostPerfReport {
 
 /// The live collector one Machine owns while running. All hooks are
 /// host-side only; a null collector pointer makes every hook a no-op
-/// (same convention as CycleLedger / HotBlockTable).
+/// (same convention as CycleLedger).
 class HostPerfCollector {
 public:
   /// `queue_sample_interval` is in simulated cycles and must be > 0; the

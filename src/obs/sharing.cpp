@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -23,7 +24,7 @@ constexpr std::uint64_t kWidelyMinReaders = 4;
 constexpr double kReadMostlyRatio = 16.0;
 
 // Cost-model parameters: approximate cycles per replayed event, derived
-// from the machine's MemTimings/network constants and calibrated against
+// from the machine's memory and network constants and calibrated against
 // measured sweeps at the default machine size (tools/ccadvise validates
 // the calibration; DESIGN.md section 14 derives each one).
 /// WI: acquire exclusive ownership (2-3 hops, invalidation fan-out and
@@ -70,6 +71,18 @@ proto::Protocol cheapest_protocol(double wi, double pu, double cu) noexcept {
   return best;
 }
 
+std::uint64_t HotCounts::miss_total() const noexcept {
+  return std::accumulate(misses.begin(), misses.end(), std::uint64_t{0});
+}
+
+std::uint64_t HotCounts::update_total() const noexcept {
+  return std::accumulate(updates.begin(), updates.end(), std::uint64_t{0});
+}
+
+std::uint64_t HotCounts::score() const noexcept {
+  return miss_total() + update_total() + invals + home_txns;
+}
+
 double SharingReport::total_cost(proto::Protocol p) const noexcept {
   switch (p) {
     case proto::Protocol::WI: return total_wi;
@@ -90,7 +103,7 @@ SharingTracker::SharingTracker(unsigned nprocs, unsigned cu_threshold)
 
 void SharingTracker::on_read(NodeId reader, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
-  BlockStats& s = blocks_[mem::block_of(a)];
+  BlockStats& s = touch(mem::block_of(a));
   const NodeSet bit = NodeSet{1} << reader;
   const unsigned w = mem::word_of(a);
   s.readers |= bit;
@@ -128,7 +141,7 @@ void SharingTracker::close_interval(BlockStats& s, NodeId next_writer) {
 
 void SharingTracker::on_global_write(NodeId writer, Addr a, std::uint64_t) {
   if (!mem::is_shared(a)) return;
-  BlockStats& s = blocks_[mem::block_of(a)];
+  BlockStats& s = touch(mem::block_of(a));
   const NodeSet bit = NodeSet{1} << writer;
   if (s.writes != 0) close_interval(s, writer);
   s.prev_readers = s.cur_readers;
@@ -166,7 +179,7 @@ void SharingTracker::on_local_write(NodeId writer, Addr a, std::uint64_t) {
   // The matching global-order point fires on_global_write at the home; here
   // only the accessor bitmaps learn about the writer (idempotent).
   if (!mem::is_shared(a)) return;
-  BlockStats& s = blocks_[mem::block_of(a)];
+  BlockStats& s = touch(mem::block_of(a));
   const NodeSet bit = NodeSet{1} << writer;
   s.writers |= bit;
   s.word_writers[mem::word_of(a)] |= bit;
@@ -177,16 +190,16 @@ void SharingTracker::on_local_write(NodeId writer, Addr a, std::uint64_t) {
 }
 
 void SharingTracker::on_writable(NodeId, mem::BlockAddr b) {
-  ++blocks_[b].writable_grants;
+  ++touch(b).writable_grants;
 }
 
 void SharingTracker::on_inval_sent(NodeId, Addr trigger, NodeId) {
-  ++blocks_[mem::block_of(trigger)].invals_sent;
+  ++touch(mem::block_of(trigger)).invals_sent;
 }
 
 void SharingTracker::on_update_delivered(NodeId dst, Addr a, NodeId, Delivery d,
                                          std::uint64_t) {
-  BlockStats& s = blocks_[mem::block_of(a)];
+  BlockStats& s = touch(mem::block_of(a));
   const NodeSet bit = NodeSet{1} << dst;
   const unsigned w = mem::word_of(a);
   ++s.updates_delivered;
@@ -317,6 +330,7 @@ SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {
   r.blocks.reserve(blocks_.size());
 
   for (const auto& [b, s] : blocks_) {
+    if (!s.in_report) continue;
     SharingReport::Row row;
     row.block = b;
     row.base = mem::block_base(b);
@@ -407,6 +421,26 @@ SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {
 
   r.recommended = cheapest_protocol(r.total_wi, r.total_pu, r.total_cu);
   return r;
+}
+
+std::vector<HotBlock> SharingTracker::hot(std::size_t k,
+                                          const mem::SharedAllocator* alloc) const {
+  std::vector<HotBlock> rows;
+  for (const auto& [b, s] : blocks_) {
+    if (s.hot.score() == 0) continue;
+    HotBlock r;
+    r.block = b;
+    r.base = mem::block_base(b);
+    if (alloc) r.name = alloc->name_of(r.base);
+    r.cell = s.hot;
+    rows.push_back(std::move(r));
+  }
+  std::sort(rows.begin(), rows.end(), [](const HotBlock& a, const HotBlock& b) {
+    const std::uint64_t sa = a.cell.score(), sb = b.cell.score();
+    return sa != sb ? sa > sb : a.block < b.block;
+  });
+  if (rows.size() > k) rows.resize(k);
+  return rows;
 }
 
 } // namespace ccsim::obs

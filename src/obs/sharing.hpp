@@ -1,12 +1,14 @@
-// Per-block sharing-pattern classification and protocol advice.
+// Per-block attribution: sharing-pattern classification, protocol advice
+// and the hot-block list.
 //
-// SharingTracker is an opt-in obs::Observer (ObsConfig::sharing) fed by the
-// same transition hooks as the invariant checker plus two the checker does
-// not consume: invalidation sends at the WI home and update deliveries at
-// the PU/CU caches. It schedules no events and sends no messages, so
-// simulated cycles and counters are byte-identical with it on or off
-// (DESIGN.md section 13's no-guest-perturbation rule; section 14 describes
-// this subsystem).
+// SharingTracker is an opt-in obs::Observer (ObsConfig::sharing or
+// ObsConfig::hot_blocks) fed by the same transition hooks as the invariant
+// checker plus the ones the checker does not consume: invalidation sends at
+// the WI home, update deliveries at the PU/CU caches, and the classifier and
+// home hooks behind the hot-block list. It schedules no events and sends no
+// messages, so simulated cycles and counters are byte-identical with it on
+// or off (DESIGN.md section 13's no-guest-perturbation rule; section 14
+// describes this subsystem).
 //
 // Per block it records:
 //   - write runs: maximal sequences of globally-ordered writes by one node;
@@ -19,6 +21,13 @@
 //   - invalidations issued (WI) and update deliveries (PU/CU), including
 //     *wasted* updates: deliveries the receiving cache never read before
 //     the word was written again (or before the run ended).
+//
+// The same record attributes every classified miss (by MissClass), classified
+// update (by UpdateClass), invalidation received and home-directory
+// transaction to its block; hot() ranks the blocks by those counts and names
+// them through the shared allocator ("mcs.qnodes+0x10" instead of
+// 0x10000040). The paper's counters say HOW MUCH false sharing or
+// proliferation a run suffered; the hot-block list says WHERE.
 //
 // A classifier folds these into the taxonomy the paper explains its results
 // with -- private, read-only, read-mostly, migratory, producer/consumer,
@@ -34,6 +43,7 @@
 #include "obs/observer.hpp"
 #include "proto/protocol.hpp"
 #include "sim/types.hpp"
+#include "stats/counters.hpp"
 
 #include <array>
 #include <cstdint>
@@ -110,9 +120,9 @@ struct SharingReport {
     }
   };
 
-  /// Per symbolic allocation (HotBlockTable-style names, aggregated over
-  /// the allocation's blocks; pattern = the pattern carrying the most
-  /// read+write activity within the group).
+  /// Per symbolic allocation (allocator names without the "+offset",
+  /// aggregated over the allocation's blocks; pattern = the pattern carrying
+  /// the most read+write activity within the group).
   struct Alloc {
     std::string name;  ///< allocation name ("(unnamed)" when anonymous)
     std::size_t blocks = 0;
@@ -135,6 +145,29 @@ struct SharingReport {
   [[nodiscard]] bool enabled() const noexcept { return on; }
   /// Projected cycles had the whole run used static protocol `p`.
   [[nodiscard]] double total_cost(proto::Protocol p) const noexcept;
+};
+
+/// One block's attributed traffic (SharingTracker::hot).
+struct HotCounts {
+  std::array<std::uint64_t, stats::kMissClasses> misses{};
+  std::array<std::uint64_t, stats::kUpdateClasses> updates{};
+  std::uint64_t invals = 0;     ///< invalidations received
+  std::uint64_t home_txns = 0;  ///< home-directory transactions
+
+  [[nodiscard]] std::uint64_t miss_total() const noexcept;
+  [[nodiscard]] std::uint64_t update_total() const noexcept;
+  /// Heat score ranking the list (classified events + coherence work; the
+  /// components overlap -- a miss usually implies a home transaction -- so
+  /// this is a ranking key, not a traffic volume).
+  [[nodiscard]] std::uint64_t score() const noexcept;
+};
+
+/// One row of the hot-block list.
+struct HotBlock {
+  mem::BlockAddr block = 0;
+  Addr base = 0;     ///< first byte address of the block
+  std::string name;  ///< allocator-assigned name + offset ("" = unnamed)
+  HotCounts cell;
 };
 
 /// Pick WI/PU/CU by minimum cost; ties resolve in WI, PU, CU order.
@@ -169,22 +202,40 @@ public:
   void on_update_delivered(NodeId dst, Addr a, NodeId writer, Delivery d,
                            std::uint64_t word) override;
 
+  // Hot-block hooks: they count into the record's HotCounts only, so a
+  // block no sharing hook touched stays out of report().
+  void on_miss(NodeId, Addr a, stats::MissClass c) override {
+    ++blocks_[mem::block_of(a)].hot.misses[static_cast<std::size_t>(c)];
+  }
+  void on_update_classified(mem::BlockAddr b, stats::UpdateClass c) override {
+    ++blocks_[b].hot.updates[static_cast<std::size_t>(c)];
+  }
+  void on_invalidated(NodeId, mem::BlockAddr b, Addr) override {
+    ++blocks_[b].hot.invals;
+  }
+  void on_home_txn(mem::BlockAddr b) override { ++blocks_[b].hot.home_txns; }
+
   /// Close open write intervals and count still-unread deliveries as
   /// wasted. Machine::run calls this once at the end of the run.
   void finalize();
 
-  /// Classify every touched block and project costs. `alloc` (may be null)
-  /// resolves symbolic names for the per-allocation aggregation.
+  /// Classify every block a sharing hook touched and project costs.
+  /// `alloc` (may be null) resolves symbolic names for the per-allocation
+  /// aggregation.
   [[nodiscard]] SharingReport report(const mem::SharedAllocator* alloc) const;
 
-  [[nodiscard]] std::size_t touched_blocks() const noexcept {
-    return blocks_.size();
-  }
+  /// The k hottest blocks with a nonzero score, score-descending (block
+  /// address breaks ties, so the list is deterministic). Names resolve via
+  /// `alloc` when given.
+  [[nodiscard]] std::vector<HotBlock> hot(std::size_t k,
+                                          const mem::SharedAllocator* alloc) const;
 
 private:
   using NodeSet = std::uint64_t;  ///< bit n = node n
 
   struct BlockStats {
+    bool in_report = false;  ///< a sharing hook touched it: report() lists it
+    HotCounts hot;
     NodeSet readers = 0, writers = 0;
     std::array<NodeSet, mem::kWordsPerBlock> word_readers{};
     std::array<NodeSet, mem::kWordsPerBlock> word_writers{};
@@ -217,6 +268,12 @@ private:
     std::array<NodeSet, mem::kWordsPerBlock> pending_unread{};
   };
 
+  /// The record of `b` for a sharing hook, marked for report().
+  BlockStats& touch(mem::BlockAddr b) {
+    BlockStats& s = blocks_[b];
+    s.in_report = true;
+    return s;
+  }
   [[nodiscard]] SharingPattern classify(const BlockStats& s) const;
   void project(const BlockStats& s, double& wi, double& pu, double& cu) const;
   void close_interval(BlockStats& s, NodeId next_writer);

@@ -15,9 +15,8 @@ namespace ccsim::proto {
 
 class BaseCacheController : public CacheController {
 public:
-  BaseCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-                      std::size_t wb_entries)
-      : CacheController(id, ctx), cache_(cache_bytes), wb_(wb_entries) {}
+  BaseCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes)
+      : CacheController(id, ctx), cache_(cache_bytes) {}
 
   void cpu_load(Addr a, std::size_t size, LoadCallback done) override;
   void cpu_store(Addr a, std::size_t size, std::uint64_t v, DoneCallback done) override;

@@ -45,12 +45,11 @@ std::size_t engine_index(Protocol p) {
 // ---------------------------------------------------------------------
 
 HybridCacheController::HybridCacheController(NodeId id, ProtocolContext& ctx,
-                                             std::size_t cache_bytes,
-                                             std::size_t wb_entries)
+                                             std::size_t cache_bytes)
     : CacheController(id, ctx) {
-  engines_[0] = make_cache_controller(Protocol::WI, id, ctx, cache_bytes, wb_entries);
-  engines_[1] = make_cache_controller(Protocol::PU, id, ctx, cache_bytes, wb_entries);
-  engines_[2] = make_cache_controller(Protocol::CU, id, ctx, cache_bytes, wb_entries);
+  engines_[0] = make_cache_controller(Protocol::WI, id, ctx, cache_bytes);
+  engines_[1] = make_cache_controller(Protocol::PU, id, ctx, cache_bytes);
+  engines_[2] = make_cache_controller(Protocol::CU, id, ctx, cache_bytes);
 }
 
 CacheController& HybridCacheController::engine_for(Addr a) {
@@ -113,12 +112,11 @@ void HybridCacheController::on_message(const net::Message& msg) {
 // home side
 // ---------------------------------------------------------------------
 
-HybridHomeController::HybridHomeController(NodeId id, ProtocolContext& ctx,
-                                           mem::MemTimings timings)
-    : HomeController(id, ctx, timings) {
-  engines_[0] = make_home_controller(Protocol::WI, id, ctx, timings);
-  engines_[1] = make_home_controller(Protocol::PU, id, ctx, timings);
-  engines_[2] = make_home_controller(Protocol::CU, id, ctx, timings);
+HybridHomeController::HybridHomeController(NodeId id, ProtocolContext& ctx)
+    : HomeController(id, ctx) {
+  engines_[0] = make_home_controller(Protocol::WI, id, ctx);
+  engines_[1] = make_home_controller(Protocol::PU, id, ctx);
+  engines_[2] = make_home_controller(Protocol::CU, id, ctx);
 }
 
 HomeController& HybridHomeController::engine_for(Addr a) {

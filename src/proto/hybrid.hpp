@@ -31,8 +31,7 @@ namespace ccsim::proto {
 
 class HybridCacheController final : public CacheController {
 public:
-  HybridCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-                        std::size_t wb_entries);
+  HybridCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes);
 
   void cpu_load(Addr a, std::size_t size, LoadCallback done) override;
   void cpu_store(Addr a, std::size_t size, std::uint64_t v, DoneCallback done) override;
@@ -66,7 +65,7 @@ private:
 
 class HybridHomeController final : public HomeController {
 public:
-  HybridHomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings);
+  HybridHomeController(NodeId id, ProtocolContext& ctx);
 
   void on_message(const net::Message& msg) override;
 

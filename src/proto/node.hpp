@@ -11,10 +11,9 @@ namespace ccsim::proto {
 
 class Node final : public net::MessageSink {
 public:
-  Node(Protocol p, NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-       std::size_t wb_entries, mem::MemTimings timings)
-      : cache_ctrl_(make_cache_controller(p, id, ctx, cache_bytes, wb_entries)),
-        home_ctrl_(make_home_controller(p, id, ctx, timings)),
+  Node(Protocol p, NodeId id, ProtocolContext& ctx, std::size_t cache_bytes)
+      : cache_ctrl_(make_cache_controller(p, id, ctx, cache_bytes)),
+        home_ctrl_(make_home_controller(p, id, ctx)),
         host_(ctx.host) {}
 
   void deliver(const net::Message& msg) override {

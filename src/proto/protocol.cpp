@@ -47,37 +47,33 @@ std::uint64_t apply_atomic(net::AtomicOp op, std::uint64_t old, std::uint64_t v1
 
 std::unique_ptr<CacheController> make_cache_controller(Protocol p, NodeId id,
                                                        ProtocolContext& ctx,
-                                                       std::size_t cache_bytes,
-                                                       std::size_t wb_entries) {
+                                                       std::size_t cache_bytes) {
   switch (p) {
     case Protocol::WI:
-      return std::make_unique<WiCacheController>(id, ctx, cache_bytes, wb_entries);
+      return std::make_unique<WiCacheController>(id, ctx, cache_bytes);
     case Protocol::PU:
-      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes, wb_entries,
+      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes,
                                                      /*drop_threshold=*/0);
     case Protocol::CU:
-      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes, wb_entries,
+      return std::make_unique<UpdateCacheController>(id, ctx, cache_bytes,
                                                      ctx.cu_threshold);
     case Protocol::Hybrid:
-      return std::make_unique<HybridCacheController>(id, ctx, cache_bytes, wb_entries);
+      return std::make_unique<HybridCacheController>(id, ctx, cache_bytes);
   }
   return nullptr;
 }
 
 std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
-                                                     ProtocolContext& ctx,
-                                                     mem::MemTimings timings) {
+                                                     ProtocolContext& ctx) {
   switch (p) {
     case Protocol::WI:
-      return std::make_unique<WiHomeController>(id, ctx, timings);
+      return std::make_unique<WiHomeController>(id, ctx);
     case Protocol::PU:
-      return std::make_unique<UpdateHomeController>(id, ctx, timings,
-                                                    /*enable_private=*/true);
+      return std::make_unique<UpdateHomeController>(id, ctx, /*enable_private=*/true);
     case Protocol::CU:
-      return std::make_unique<UpdateHomeController>(id, ctx, timings,
-                                                    /*enable_private=*/false);
+      return std::make_unique<UpdateHomeController>(id, ctx, /*enable_private=*/false);
     case Protocol::Hybrid:
-      return std::make_unique<HybridHomeController>(id, ctx, timings);
+      return std::make_unique<HybridHomeController>(id, ctx);
   }
   return nullptr;
 }

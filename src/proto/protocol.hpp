@@ -154,8 +154,7 @@ protected:
 /// released.
 class HomeController {
 public:
-  HomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings)
-      : id_(id), ctx_(ctx), memory_(timings) {}
+  HomeController(NodeId id, ProtocolContext& ctx) : id_(id), ctx_(ctx) {}
   virtual ~HomeController() = default;
 
   virtual void on_message(const net::Message& msg) = 0;
@@ -237,10 +236,8 @@ private:
 
 std::unique_ptr<CacheController> make_cache_controller(Protocol p, NodeId id,
                                                        ProtocolContext& ctx,
-                                                       std::size_t cache_bytes,
-                                                       std::size_t wb_entries);
+                                                       std::size_t cache_bytes);
 std::unique_ptr<HomeController> make_home_controller(Protocol p, NodeId id,
-                                                     ProtocolContext& ctx,
-                                                     mem::MemTimings timings);
+                                                     ProtocolContext& ctx);
 
 } // namespace ccsim::proto

@@ -30,9 +30,8 @@ namespace ccsim::proto {
 class UpdateCacheController final : public BaseCacheController {
 public:
   UpdateCacheController(NodeId id, ProtocolContext& ctx, std::size_t cache_bytes,
-                        std::size_t wb_entries, unsigned drop_threshold)
-      : BaseCacheController(id, ctx, cache_bytes, wb_entries),
-        drop_threshold_(drop_threshold) {}
+                        unsigned drop_threshold)
+      : BaseCacheController(id, ctx, cache_bytes), drop_threshold_(drop_threshold) {}
 
   void cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1, std::uint64_t v2,
                   LoadCallback done) override;
@@ -72,9 +71,8 @@ private:
 
 class UpdateHomeController final : public HomeController {
 public:
-  UpdateHomeController(NodeId id, ProtocolContext& ctx, mem::MemTimings timings,
-                       bool enable_private)
-      : HomeController(id, ctx, timings), enable_private_(enable_private) {}
+  UpdateHomeController(NodeId id, ProtocolContext& ctx, bool enable_private)
+      : HomeController(id, ctx), enable_private_(enable_private) {}
 
   void on_message(const net::Message& msg) override;
 

@@ -1,10 +1,12 @@
 // Table formatting / CLI parsing used by the figure benches.
 #include "harness/cli.hpp"
 #include "harness/figure.hpp"
+#include "harness/obs_session.hpp"
 #include "stats/counters.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -201,6 +203,32 @@ TEST(Cli, BothValueFormsParseTheSame) {
   char* joined[] = {prog, s3};
   EXPECT_DOUBLE_EQ(harness::parse_bench_args(3, spaced).scale, 0.25);
   EXPECT_DOUBLE_EQ(harness::parse_bench_args(2, joined).scale, 0.25);
+}
+
+TEST(Cli, HotTopNeedsJson) {
+  // --hot-top sizes the hot-block list, which only --json runs attribute.
+  // The benches and protocol_explorer all build an ObsSession from their
+  // parsed flags, and it rejects --hot-top alone.
+  const auto session_error = [](std::vector<std::string> args) -> std::string {
+    static char prog[] = "bench";
+    std::vector<char*> argv{prog};
+    for (std::string& a : args) argv.push_back(a.data());
+    try {
+      const BenchOptions o =
+          harness::parse_bench_args(static_cast<int>(argv.size()), argv.data());
+      harness::ObsSession session(o.obs, "bench");
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string err = session_error({"--hot-top", "4"});
+  EXPECT_NE(err.find("--hot-top"), std::string::npos) << err;
+  EXPECT_NE(err.find("--json"), std::string::npos) << err;
+  const std::string json = testing::TempDir() + "cli_hot_top.json";
+  EXPECT_EQ(session_error({"--hot-top", "4", "--json", json}), "");
+  EXPECT_EQ(session_error({"--json=" + json, "--hot-top=4"}), "");
+  std::remove(json.c_str());
 }
 
 TEST(Cli, ValueParsers) {

@@ -156,7 +156,7 @@ TEST(Hybrid, ProfileCountsTheEnginesWriteBuffers) {
   EXPECT_EQ(p.wb_pushes, m.counters().mem.shared_writes);
   EXPECT_EQ(p.wb_pushes, 24u);
   EXPECT_GE(p.wb_peak, 1u);
-  EXPECT_LE(p.wb_peak, cfg.wb_entries);
+  EXPECT_LE(p.wb_peak, mem::kWriteBufferEntries);
 }
 
 TEST(Hybrid, BestOfBothBeatsPureMachines) {

@@ -40,6 +40,9 @@ TEST(MemoryModule, BankTimingDefaults) {
   MemoryModule m;  // block_read = 20 + 7 per the paper's 20-cycle first word
   EXPECT_EQ(m.book(0, AK::BlockRead), 27u);
   EXPECT_EQ(m.book(100, AK::WordRead), 120u);
+  EXPECT_EQ(m.book(200, AK::BlockWrite), 208u);
+  EXPECT_EQ(m.book(300, AK::WordWrite), 304u);
+  EXPECT_EQ(m.book(400, AK::DirOnly), 402u);
 }
 
 TEST(MemoryModule, BankContentionSerializes) {
@@ -50,15 +53,6 @@ TEST(MemoryModule, BankContentionSerializes) {
   EXPECT_EQ(t1, 27u);
   EXPECT_EQ(t2, 54u);
   EXPECT_EQ(t3, 62u);
-}
-
-TEST(MemoryModule, CustomTimings) {
-  MemTimings t;
-  t.block_read = 10;
-  t.dir_op = 1;
-  MemoryModule m(t);
-  EXPECT_EQ(m.book(0, AK::BlockRead), 10u);
-  EXPECT_EQ(m.book(10, AK::DirOnly), 11u);
 }
 
 } // namespace

@@ -115,7 +115,7 @@ TEST(LinkContention, EveryNodeCountRoutesThroughItsMeshPositions) {
       sinks[i].q = &q;
       net.attach(i, sinks[i]);
     }
-    const Cycle flits = (mk(0, 0).wire_bytes() + p.flit_bytes - 1) / p.flit_bytes;
+    const Cycle flits = (mk(0, 0).wire_bytes() + net::kFlitBytes - 1) / net::kFlitBytes;
     std::map<std::pair<NodeId, NodeId>, Cycle> link_free;
     std::vector<Cycle> inject_free(n, 0), eject_free(n, 0);
     std::vector<std::vector<Cycle>> want(n);
@@ -128,7 +128,7 @@ TEST(LinkContention, EveryNodeCountRoutesThroughItsMeshPositions) {
         for (NodeId at = s; at != d;) {
           const NodeId next = topo.next_hop(at, d);
           Cycle& busy = link_free[{at, next}];
-          head = std::max(head + p.switch_delay, busy);
+          head = std::max(head + net::kSwitchDelay, busy);
           busy = head + flits;
           at = next;
         }

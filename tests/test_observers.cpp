@@ -3,12 +3,14 @@
 // The other observer tests compare a run with observers on against one
 // with them off, which cannot notice a transition reported to the wrong
 // observer (or to none). These tests run one stress cell and one MCS-lock
-// cell under WI, PU and CU with the invariant checker, sharing tracker,
-// hot-block table and cycle ledger all attached, and pin the FNV-1a digest
-// of each run's JSON document -- which carries "invariant_checks",
-// "hot_blocks", "sharing" and "profile". A digest changes whenever a
-// simulated result or an observer's output does; if that is intended, print
-// the new digests with --gtest_also_run_disabled_tests and update the table.
+// cell under WI, PU and CU with the invariant checker, the sharing tracker
+// (sharing report and hot-block list) and the cycle ledger all attached,
+// and pin the FNV-1a digest of each run's JSON document -- which carries
+// "invariant_checks", "hot_blocks", "sharing" and "profile". A digest
+// changes whenever a simulated result or an observer's output does; if that
+// is intended, print the new digests with --gtest_also_run_disabled_tests
+// and update the table. A last test checks that the tracker's two reports
+// read the same whether or not the other one is switched on.
 #include "harness/obs_session.hpp"
 #include "harness/stress.hpp"
 #include "harness/workloads.hpp"
@@ -100,6 +102,56 @@ TEST(ObserverPins, McsLockDocuments) {
     const std::string doc = mcs_document(pin.protocol);
     expect_all_observers(doc);
     EXPECT_EQ(fnv1a(doc), pin.mcs) << proto::to_string(pin.protocol);
+  }
+}
+
+/// The hot-block list of `r`, alone in a run document.
+std::string hot_document(const harness::RunResult& r) {
+  harness::RunResult h;
+  h.hot = r.hot;
+  return run_document(h);
+}
+
+std::string sharing_document(const harness::RunResult& r) {
+  std::ostringstream os;
+  stats::JsonWriter w(os);
+  w.begin_object();
+  harness::write_sharing_fields(w, r.sharing);
+  w.end_object();
+  return os.str();
+}
+
+TEST(SharingTracker, HotBlocksAndSharingReportStayApart) {
+  // One tracker serves obs.hot_blocks and obs.sharing: each report must not
+  // change when the other is switched on, and must stay empty when its own
+  // switch is off.
+  const auto run = [](Protocol p, bool stress, bool hot, bool sharing) {
+    MachineConfig cfg;
+    cfg.nprocs = 8;
+    cfg.protocol = p;
+    cfg.obs.hot_blocks = hot;
+    cfg.obs.hot_top_k = 1u << 20;  // every block with a nonzero score
+    cfg.obs.sharing = sharing;
+    harness::StressParams sp;
+    sp.seed = 1;
+    harness::LockParams lp;
+    lp.total_acquires = 256;
+    return stress ? harness::run_stress_cell(cfg, sp)
+                  : harness::run_lock_experiment(cfg, harness::LockKind::Mcs, lp);
+  };
+  for (Protocol p : {Protocol::WI, Protocol::PU, Protocol::CU, Protocol::Hybrid}) {
+    for (bool stress : {false, true}) {
+      SCOPED_TRACE(std::string(proto::to_string(p)) + (stress ? " stress" : " mcs"));
+      const harness::RunResult hot = run(p, stress, true, false);
+      const harness::RunResult sharing = run(p, stress, false, true);
+      const harness::RunResult both = run(p, stress, true, true);
+      ASSERT_FALSE(hot.hot.empty());
+      ASSERT_FALSE(sharing.sharing.blocks.empty());
+      EXPECT_EQ(hot_document(hot), hot_document(both));
+      EXPECT_EQ(sharing_document(sharing), sharing_document(both));
+      EXPECT_FALSE(hot.sharing.enabled());
+      EXPECT_TRUE(sharing.hot.empty());
+    }
   }
 }
 

@@ -65,7 +65,24 @@ TEST(SharingTracker, IgnoresPrivateAddressesAndPokes) {
   t.on_global_write(1, 0x200, 0);  // below kSharedBase
   t.on_poke(kA, 0);                // initialization, deliberately ignored
   t.finalize();
-  EXPECT_EQ(t.touched_blocks(), 0u);
+  EXPECT_TRUE(t.report(nullptr).blocks.empty());
+  EXPECT_TRUE(t.hot(16, nullptr).empty());
+}
+
+TEST(SharingTracker, HotHooksStayOutOfTheSharingReport) {
+  // One record per block serves both reports: a block only hot-block hooks
+  // touched ranks in hot() but gains no sharing row, and a block only
+  // sharing hooks touched scores 0 and stays out of hot().
+  obs::SharingTracker t(4, 4);
+  t.on_home_txn(mem::block_of(kA));
+  t.on_miss(1, kA, stats::MissClass::Cold);
+  t.on_read(2, kB, 0);
+  t.finalize();
+  EXPECT_EQ(only_row(t).base, kB);
+  const std::vector<obs::HotBlock> hot = t.hot(16, nullptr);
+  ASSERT_EQ(hot.size(), 1u);
+  EXPECT_EQ(hot[0].base, kA);
+  EXPECT_EQ(hot[0].cell.score(), 2u);
 }
 
 TEST(SharingClassify, PrivateSingleNode) {

@@ -9,7 +9,7 @@ using namespace ccsim;
 using namespace ccsim::mem;
 
 TEST(WriteBuffer, CapacityAndFifo) {
-  WriteBuffer wb(4);
+  WriteBuffer wb;
   EXPECT_TRUE(wb.empty());
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_FALSE(wb.full());
@@ -24,7 +24,7 @@ TEST(WriteBuffer, CapacityAndFifo) {
 }
 
 TEST(WriteBuffer, ForwardsNewestExactMatch) {
-  WriteBuffer wb(4);
+  WriteBuffer wb;
   const Addr a = kSharedBase;
   wb.push({a, 8, 1});
   wb.push({a + 8, 8, 2});
@@ -36,14 +36,14 @@ TEST(WriteBuffer, ForwardsNewestExactMatch) {
 }
 
 TEST(WriteBuffer, ForwardRequiresExactSize) {
-  WriteBuffer wb(4);
+  WriteBuffer wb;
   wb.push({kSharedBase, 8, 42});
   EXPECT_FALSE(wb.forward(kSharedBase, 4).has_value());
   EXPECT_TRUE(wb.partially_overlaps(kSharedBase, 4));
 }
 
 TEST(WriteBuffer, PartialOverlapDetection) {
-  WriteBuffer wb(4);
+  WriteBuffer wb;
   wb.push({kSharedBase + 4, 4, 7});
   EXPECT_TRUE(wb.partially_overlaps(kSharedBase, 8));   // covers bytes 4..7
   EXPECT_FALSE(wb.partially_overlaps(kSharedBase, 4));  // disjoint bytes 0..3
@@ -51,7 +51,7 @@ TEST(WriteBuffer, PartialOverlapDetection) {
 }
 
 TEST(WriteBuffer, ContainsBlock) {
-  WriteBuffer wb(4);
+  WriteBuffer wb;
   wb.push({kSharedBase + 24, 8, 1});
   EXPECT_TRUE(wb.contains_block(block_of(kSharedBase)));
   EXPECT_FALSE(wb.contains_block(block_of(kSharedBase) + 1));
