@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 namespace {
 
 using namespace ccsim;
@@ -34,6 +36,41 @@ void BM_EventQueueFanOut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueFanOut)->Arg(1024)->Arg(16384);
+
+// A deep queue like paper_update's central barriers: about 1000 events
+// pending, each rescheduling itself with that workload's delay mix --
+// mostly 1-2 cycles, deliveries at 10-400, and about a tenth beyond the
+// 1024-cycle calendar ring. Delays come from a table drawn at run time.
+void BM_EventQueueDeep(benchmark::State& state) {
+  constexpr std::size_t kPending = 1000;
+  std::vector<Cycle> delays(4096);
+  sim::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  for (Cycle& d : delays) {
+    const std::uint64_t r = rng.below(10);
+    d = r < 6 ? rng.between(1, 2) : r < 9 ? rng.between(10, 400) : rng.between(1025, 4000);
+  }
+  sim::EventQueue q;
+  std::size_t next = 0;
+  std::uint64_t fired = 0;
+  struct Tick {
+    sim::EventQueue* q;
+    const std::vector<Cycle>* delays;
+    std::size_t* next;
+    std::uint64_t* fired;
+    void operator()() const {
+      ++*fired;
+      q->schedule((*delays)[(*next)++ % delays->size()], *this);
+    }
+  };
+  for (std::size_t i = 0; i < kPending; ++i)
+    q.schedule(delays[next++ % delays.size()], Tick{&q, &delays, &next, &fired});
+  for (auto _ : state) {
+    q.step();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueDeep)->Arg(1);
 
 void BM_NetworkSend(benchmark::State& state) {
   struct Sink final : net::MessageSink {

@@ -2,6 +2,7 @@
 
 #include "sim/check.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -47,12 +48,24 @@ void DataCache::write(Addr addr, std::size_t size, std::uint64_t value) {
 }
 
 void DataCache::notify(BlockAddr b) {
-  auto it = watchers_.find(b);
+  auto it = std::find_if(watchers_.begin(), watchers_.end(),
+                         [b](const Watcher& w) { return w.block == b; });
   if (it == watchers_.end()) return;
-  // Move out first: a watcher may re-subscribe synchronously.
-  std::vector<std::function<void()>> fns = std::move(it->second);
-  watchers_.erase(it);
-  for (auto& fn : fns) fn();
+  // Move b's watchers out first: a watcher may re-subscribe synchronously.
+  // The firing buffer keeps its capacity across calls; a nested notify
+  // finds it taken and uses its own.
+  std::vector<std::function<void()>> fire = std::move(firing_);
+  auto keep = it;
+  for (; it != watchers_.end(); ++it) {
+    if (it->block == b)
+      fire.push_back(std::move(it->fn));
+    else
+      *keep++ = std::move(*it);
+  }
+  watchers_.erase(keep, watchers_.end());
+  for (auto& fn : fire) fn();
+  fire.clear();
+  firing_ = std::move(fire);
 }
 
 } // namespace ccsim::mem

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace ccsim::mem {
@@ -80,16 +79,25 @@ public:
   //
   // Cpu::spin_until subscribes to a block; protocol code calls notify()
   // after any state or data mutation (fill, update, invalidation, drop,
-  // eviction). Watchers are one-shot: notify() clears the list.
+  // eviction). Watchers are one-shot: notify(b) fires b's watchers in
+  // registration order and drops them.
 
   void watch(BlockAddr b, std::function<void()> fn) {
-    watchers_[b].push_back(std::move(fn));
+    watchers_.push_back({b, std::move(fn)});
   }
   void notify(BlockAddr b);
 
 private:
+  struct Watcher {
+    BlockAddr block;
+    std::function<void()> fn;
+  };
+
   std::vector<CacheLine> lines_;
-  std::unordered_map<BlockAddr, std::vector<std::function<void()>>> watchers_;
+  /// A node has one processor, so a cache has at most a few watchers: a
+  /// flat list beats any keyed table.
+  std::vector<Watcher> watchers_;
+  std::vector<std::function<void()>> firing_;  ///< notify()'s reused buffer
 };
 
 } // namespace ccsim::mem

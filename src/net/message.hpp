@@ -2,12 +2,14 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "sim/poison.hpp"
 #include "sim/types.hpp"
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace ccsim::net {
 
@@ -81,5 +83,38 @@ struct Message {
 
 /// Header bytes of every message (route + type + address + bookkeeping).
 inline constexpr std::size_t kHeaderBytes = 16;
+
+/// Messages parked by index while a scheduled event waits to use them, so
+/// the event's closure carries an index that fits an event-queue slot
+/// instead of the message. Freed indices are reused LIFO. Storage grows
+/// only when every entry is in use, so the free entries (poisoned under
+/// ASan) are never copied.
+class MessageSlab {
+public:
+  /// Park a copy of `m`; returns its index.
+  [[nodiscard]] std::uint32_t park(const Message& m) {
+    if (free_.empty()) {
+      slots_.push_back(m);
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t i = free_.back();
+    free_.pop_back();
+    CCSIM_UNPOISON(&slots_[i], sizeof(Message));
+    slots_[i] = m;
+    return i;
+  }
+
+  /// Copy parked message `i` out and free its index.
+  [[nodiscard]] Message take(std::uint32_t i) {
+    const Message m = slots_[i];
+    CCSIM_POISON(&slots_[i], sizeof(Message));
+    free_.push_back(i);
+    return m;
+  }
+
+private:
+  std::vector<Message> slots_;
+  std::vector<std::uint32_t> free_;
+};
 
 } // namespace ccsim::net

@@ -56,8 +56,7 @@ void Network::send(const Message& msg) {
   // Host telemetry: routing + contention arithmetic is network work.
   obs::ScopedHostCat host_scope(host_, obs::HostCat::Network);
   assert(msg.src < sinks_.size() && msg.dst < sinks_.size());
-  MessageSink* sink = sinks_[msg.dst];
-  assert(sink && "destination node has no sink attached");
+  assert(sinks_[msg.dst] && "destination node has no sink attached");
 
   if (counters_) ++counters_->by_type[static_cast<std::size_t>(msg.type)];
   ++inflight_[msg.dst];
@@ -70,23 +69,16 @@ void Network::send(const Message& msg) {
       arrive = std::max(arrive + jitter(), local_last_[msg.dst]);
       local_last_[msg.dst] = arrive;
     }
+    std::uint64_t flow = 0;
     if (trace_) {
-      const std::uint64_t flow = trace_->next_flow_id();
+      flow = trace_->next_flow_id();
       trace_->event(net_event(obs::EventKind::MsgSend, q_.now(), 0, msg.src,
                               msg.dst, msg, flow));
-      obs::TraceLog* trace = trace_;
-      q_.schedule_at(arrive, [this, sink, msg, trace, arrive, flow] {
-        --inflight_[msg.dst];
-        trace->event(net_event(obs::EventKind::MsgRecv, arrive, 0, msg.dst,
-                               msg.src, msg, flow));
-        sink->deliver(msg);
-      });
-    } else {
-      q_.schedule_at(arrive, [this, sink, msg] {
-        --inflight_[msg.dst];
-        sink->deliver(msg);
-      });
     }
+    const std::uint32_t index = parked_.park(msg);
+    q_.schedule_at(arrive, [this, index, arrive, flow] {
+      deliver(index, arrive, 0, flow);
+    });
     return;
   }
 
@@ -132,23 +124,27 @@ void Network::send(const Message& msg) {
     counters_->hops += hops;
   }
 
+  std::uint64_t flow = 0;
   if (trace_) {
-    const std::uint64_t flow = trace_->next_flow_id();
+    flow = trace_->next_flow_id();
     trace_->event(net_event(obs::EventKind::MsgSend, start, flits, msg.src,
                             msg.dst, msg, flow));
-    obs::TraceLog* trace = trace_;
-    q_.schedule_at(delivered, [this, sink, msg, trace, eject_start, flits, flow] {
-      --inflight_[msg.dst];
-      trace->event(net_event(obs::EventKind::MsgRecv, eject_start, flits,
-                             msg.dst, msg.src, msg, flow));
-      sink->deliver(msg);
-    });
-  } else {
-    q_.schedule_at(delivered, [this, sink, msg] {
-      --inflight_[msg.dst];
-      sink->deliver(msg);
-    });
   }
+  const std::uint32_t index = parked_.park(msg);
+  q_.schedule_at(delivered, [this, index, eject_start, flits, flow] {
+    deliver(index, eject_start, flits, flow);
+  });
+}
+
+void Network::deliver(std::uint32_t index, Cycle recv_at, Cycle dur,
+                      std::uint64_t flow) {
+  // Copy out and free first: the sink may send, which can grow the slab.
+  const Message msg = parked_.take(index);
+  --inflight_[msg.dst];
+  if (trace_)
+    trace_->event(net_event(obs::EventKind::MsgRecv, recv_at, dur, msg.dst,
+                            msg.src, msg, flow));
+  sinks_[msg.dst]->deliver(msg);
 }
 
 } // namespace ccsim::net

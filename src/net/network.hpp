@@ -88,6 +88,10 @@ public:
   [[nodiscard]] std::uint64_t in_flight(NodeId n) const { return inflight_[n]; }
 
 private:
+  /// Deliver parked message `index` to its sink; a traced run records the
+  /// MsgRecv event at `recv_at` lasting `dur` with flow id `flow`.
+  void deliver(std::uint32_t index, Cycle recv_at, Cycle dur, std::uint64_t flow);
+
   [[nodiscard]] Cycle jitter() {
     return params_.jitter_max == 0 ? 0 : jitter_rng_.below(params_.jitter_max + 1);
   }
@@ -108,6 +112,7 @@ private:
   /// delivery at the node so same-pair FIFO survives the perturbation.
   std::vector<Cycle> local_last_;
   std::vector<std::uint64_t> inflight_;  ///< undelivered messages per dst
+  MessageSlab parked_;                   ///< messages awaiting delivery
   sim::Rng jitter_rng_;
 };
 

@@ -4,9 +4,9 @@
 // attributes *simulated* cycles. This subsystem is the same cost-accounting
 // idea applied one level down: how fast does the host execute the discrete-
 // event loop, where does host time go, and how hard is the event queue being
-// worked? It exists so simulator-core optimizations (calendar queue,
-// allocation pooling, delivery batching) can be *gated* like guest-latency
-// regressions instead of eyeballed.
+// worked? It exists so simulator-core optimizations (such as the event
+// kernel's calendar ring and allocation pools, DESIGN.md §6) can be *gated*
+// like guest-latency regressions instead of eyeballed.
 //
 // What one run's HostPerfReport carries:
 //   - throughput: simulated cycles/sec and executed events/sec, from one
@@ -15,8 +15,8 @@
 //     *simulated*-cycle boundaries (so the histogram itself is byte-stable
 //     across hosts and runs) plus the true peak depth;
 //   - allocation counters: protocol messages injected, coroutine frames
-//     allocated, events scheduled -- the three allocation streams a pooling
-//     PR would shrink;
+//     created, events scheduled -- served from the message slabs, the
+//     frame pool and the event queue's slot arena, not the heap;
 //   - coarse host-time attribution over subsystems (event loop, protocol
 //     handlers, network routing, obs hooks) via the same exclusive
 //     scope-stack scheme as obs::CycleLedger, but charging host nanoseconds
@@ -69,9 +69,9 @@ struct HostPerfReport {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
 
-  // Allocation streams (targets of the pooling roadmap item).
+  // Allocation streams, served from pools (DESIGN.md §6).
   std::uint64_t messages = 0;   ///< protocol messages injected (incl. local)
-  std::uint64_t frames = 0;     ///< coroutine frames allocated during run()
+  std::uint64_t frames = 0;     ///< coroutine frames created during run()
 
   // Event-queue statistics.
   stats::LatencyHistogram queue_depth;  ///< pending-event samples

@@ -126,10 +126,12 @@ void HomeController::release(mem::BlockAddr b, bool serve_holder) {
   }
 }
 
-void HomeController::reply_at(Cycle ready, net::Message m) {
-  ctx_.q.schedule_at(ready, [this, m]() mutable {
-    if (m.has_block) m.block = memory_.read_block(mem::block_of(m.addr));
-    send_from(m);
+void HomeController::reply_at(Cycle ready, const net::Message& m) {
+  const std::uint32_t index = replies_.park(m);
+  ctx_.q.schedule_at(ready, [this, index] {
+    net::Message r = replies_.take(index);
+    if (r.has_block) r.block = memory_.read_block(mem::block_of(r.addr));
+    send_from(r);
   });
 }
 

@@ -207,7 +207,7 @@ protected:
   /// the block reads memory then: a write absorbed between dispatch and
   /// the bank completing must be in the data, since the requester is
   /// already in the sharer set.
-  void reply_at(Cycle ready, net::Message m);
+  void reply_at(Cycle ready, const net::Message& m);
   /// Send `m` to every sharer in `e` but `skip`; returns how many went.
   /// Invalidations are reported to the observers as they go.
   unsigned multicast(const mem::DirEntry& e, net::Message m, NodeId skip);
@@ -224,6 +224,7 @@ private:
   void release(mem::BlockAddr b, bool serve_holder);
 
   std::unordered_map<mem::BlockAddr, Hold> holds_;
+  net::MessageSlab replies_;  ///< replies waiting for the memory bank
 };
 
 /// The word an atomic leaves behind when it reads `old`; `wrote` is false

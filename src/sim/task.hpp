@@ -14,6 +14,8 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <utility>
@@ -21,14 +23,21 @@
 namespace ccsim::sim {
 
 namespace detail {
-/// Coroutine frames allocated on this thread, ever. Thread-local because a
+/// Coroutine frames created on this thread, ever. Thread-local because a
 /// Machine runs entirely on one thread: the host-telemetry layer reads a
 /// delta across Machine::run and gets a per-run count even when a parallel
 /// sweep runs many Machines at once (obs/host_perf.hpp).
 extern thread_local std::uint64_t t_frames_allocated;
+
+/// Coroutine frame storage from this thread's pool: free lists in 64-byte
+/// size classes up to 1 KiB, ::operator new above that. Each pooled block
+/// is its own allocation, so a frame may be freed on another thread; a
+/// thread's pool releases its blocks when the thread exits.
+[[nodiscard]] void* frame_alloc(std::size_t n);
+void frame_free(void* p, std::size_t n) noexcept;
 } // namespace detail
 
-/// Coroutine frames allocated by this thread so far.
+/// Coroutine frames created by this thread so far (pooled or not).
 [[nodiscard]] inline std::uint64_t frames_allocated() noexcept {
   return detail::t_frames_allocated;
 }
@@ -39,13 +48,15 @@ public:
   using Handle = std::coroutine_handle<promise_type>;
 
   struct promise_type {
-    // Frame allocations route through here so the host-telemetry layer can
-    // count them (one increment; no behavior change).
+    // Frames come from the thread's frame pool and are counted for the
+    // host-telemetry layer.
     static void* operator new(std::size_t n) {
       ++detail::t_frames_allocated;
-      return ::operator new(n);
+      return detail::frame_alloc(n);
     }
-    static void operator delete(void* p) noexcept { ::operator delete(p); }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::frame_free(p, n);
+    }
 
     std::coroutine_handle<> continuation;   ///< resumed when this task finishes
     std::function<void()> on_done;          ///< completion hook for root tasks
