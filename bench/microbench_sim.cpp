@@ -1,7 +1,9 @@
 // Host-performance micro-benchmarks of the simulator's hot paths
 // (google-benchmark): event kernel throughput, network send/deliver,
-// cache lookups, and end-to-end simulated-cycles-per-host-second.
+// cache lookups, the observers' per-block hooks, and end-to-end
+// simulated-cycles-per-host-second.
 #include "ccsim.hpp"
+#include "obs/invariants.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -112,6 +114,70 @@ void BM_CacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookup);
+
+// The observers' per-block hooks on their own: a standalone invariant
+// checker, sharing tracker and miss classifier (feeding the tracker's
+// on_miss) driven by a stream of reads, global writes and misses over 256
+// shared blocks at P=16, drawn at run time. The stream replays in a loop;
+// each read returns its word's latest value in that cyclic order, and
+// each word starts at its last value in the stream, so the checker never
+// throws.
+void BM_ObserverHooks(benchmark::State& state) {
+  constexpr unsigned kProcs = 16;
+  constexpr std::size_t kWords = 256 * mem::kWordsPerBlock;
+  enum class Op : std::uint8_t { Read, Write, Miss };
+  struct Step {
+    Op op;
+    NodeId node;
+    Addr addr;
+    std::uint64_t value;
+  };
+  const auto word_addr = [](std::size_t w) { return mem::kSharedBase + w * mem::kWordSize; };
+  const auto word_index = [](Addr a) { return (a - mem::kSharedBase) / mem::kWordSize; };
+  sim::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  std::vector<Step> stream(1 << 14);
+  std::vector<std::uint64_t> latest(kWords, 0);
+  for (Step& s : stream) {
+    const std::uint64_t r = rng.below(10);
+    s.op = r < 6 ? Op::Read : r < 8 ? Op::Write : Op::Miss;
+    s.node = static_cast<NodeId>(rng.below(kProcs));
+    s.addr = word_addr(rng.below(kWords));
+    s.value = rng.next();
+    if (s.op == Op::Write) latest[word_index(s.addr)] = s.value;
+  }
+  obs::InvariantChecker checker(kProcs);
+  for (std::size_t w = 0; w < kWords; ++w) checker.on_poke(word_addr(w), latest[w]);
+  for (Step& s : stream) {
+    if (s.op == Op::Write) latest[word_index(s.addr)] = s.value;
+    else s.value = latest[word_index(s.addr)];
+  }
+  obs::SharingTracker tracker(kProcs, 4);
+  obs::Observer* const subscribers[] = {&tracker};
+  stats::Counters counters;
+  stats::MissClassifier misses(kProcs, counters, subscribers);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Step& s = stream[i++ % stream.size()];
+    switch (s.op) {
+      case Op::Read:
+        checker.on_read(s.node, s.addr, s.value);
+        tracker.on_read(s.node, s.addr, s.value);
+        break;
+      case Op::Write:
+        checker.on_global_write(s.node, s.addr, s.value);
+        tracker.on_global_write(s.node, s.addr, s.value);
+        misses.on_store(s.node, s.addr);
+        break;
+      case Op::Miss:
+        misses.classify_miss(s.node, s.addr);
+        misses.on_fill(s.node, mem::block_of(s.addr));
+        break;
+    }
+  }
+  benchmark::DoNotOptimize(checker.checks());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ObserverHooks)->Arg(1);
 
 void BM_EndToEndLockWorkload(benchmark::State& state) {
   // Simulated cycles per host-second for the densest workload we have.

@@ -36,7 +36,7 @@ Addr SharedAllocator::allocate_on(NodeId home, std::size_t size,
   next_ = align_up(next_, kBlockSize);
   const Addr a = next_;
   next_ = align_up(next_ + size, kBlockSize);
-  for (BlockAddr b = block_of(a); b < block_of(next_ - 1) + 1; ++b) placed_[b] = home;
+  for (BlockAddr b = block_of(a); b < block_of(next_ - 1) + 1; ++b) tags_[b].home = home;
   record_region(a, size, name);
   return a;
 }
@@ -65,16 +65,16 @@ std::string SharedAllocator::name_of(Addr a) const {
 void SharedAllocator::set_domain(Addr start, std::size_t size, std::uint8_t domain) {
   assert(size > 0);
   for (BlockAddr b = block_of(start); b <= block_of(start + size - 1); ++b)
-    domains_[b] = domain;
+    tags_[b].domain = domain;
 }
 
 std::uint8_t SharedAllocator::domain_of(BlockAddr b) const {
-  auto it = domains_.find(b);
-  return it == domains_.end() ? 0 : it->second;
+  const BlockTag* t = tag(b);
+  return t ? t->domain : 0;
 }
 
 NodeId SharedAllocator::home_of(BlockAddr b) const {
-  if (auto it = placed_.find(b); it != placed_.end()) return it->second;
+  if (const BlockTag* t = tag(b); t && t->home != kInvalidNode) return t->home;
   return static_cast<NodeId>(b % nodes_);
 }
 

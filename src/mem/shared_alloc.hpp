@@ -11,13 +11,13 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/block_table.hpp"
 #include "sim/types.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ccsim::mem {
@@ -41,7 +41,7 @@ public:
   /// blocks so placement never splits a block.
   Addr allocate_on(NodeId home, std::size_t size, std::string_view name = {});
 
-  /// Home node of a block.
+  /// Home node of a block: its placement, else block mod nodes.
   [[nodiscard]] NodeId home_of(BlockAddr b) const;
 
   /// Symbolic name of the allocation containing `a` ("name+0x18"), or ""
@@ -61,12 +61,23 @@ public:
   [[nodiscard]] unsigned nodes() const noexcept { return nodes_; }
 
 private:
+  /// Placement and domain of one block; the default is an interleaved
+  /// block of domain 0.
+  struct BlockTag {
+    NodeId home = kInvalidNode;  ///< kInvalidNode: interleaved (block mod nodes)
+    std::uint8_t domain = 0;
+  };
+
   void record_region(Addr start, std::size_t size, std::string_view name);
+  /// The tag of `b`, or nullptr for a block no placement or domain reached
+  /// (private blocks included).
+  [[nodiscard]] const BlockTag* tag(BlockAddr b) const noexcept {
+    return b >= block_of(kSharedBase) ? tags_.find(b) : nullptr;
+  }
 
   unsigned nodes_;
   Addr next_ = kSharedBase;
-  std::unordered_map<BlockAddr, NodeId> placed_;
-  std::unordered_map<BlockAddr, std::uint8_t> domains_;
+  BlockTable<BlockTag> tags_;
   std::vector<Region> regions_;  ///< named allocations, start ascending
 };
 

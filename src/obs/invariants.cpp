@@ -59,36 +59,50 @@ void InvariantChecker::attach_node(mem::DataCache* cache,
   nodes_.push_back(NodeView{cache, dir, memory});
 }
 
-void InvariantChecker::record(Addr word_addr, std::uint64_t word) {
-  History& h = history_[word_addr];
-  if (h.values.empty()) h.values.resize(history_depth_, 0);
+void InvariantChecker::record(History& h, std::uint64_t word) {
+  if (h.values.size() < history_depth_) {
+    // Grow geometrically, but never past the depth.
+    if (h.values.size() == h.values.capacity())
+      h.values.reserve(
+          std::min(history_depth_, std::max<std::size_t>(4, 2 * h.values.size())));
+    h.values.push_back(word);
+    return;
+  }
   h.values[h.head] = word;
   h.head = (h.head + 1) % h.values.size();
-  if (h.head == 0) h.wrapped = true;
 }
 
-bool InvariantChecker::known_value(Addr word_addr, std::uint64_t word) const {
-  auto it = history_.find(word_addr);
-  if (it == history_.end()) return word == 0;  // memory zero-initializes
-  const History& h = it->second;
-  const std::size_t n = h.wrapped ? h.values.size() : h.head;
-  for (std::size_t i = 0; i < n; ++i)
+bool InvariantChecker::known_value(const BlockRecord* r, unsigned w,
+                                   std::uint64_t word) const {
+  if (!r) return word == 0;  // memory zero-initializes
+  // Newest first: a read mostly returns the last value written.
+  const History& h = r->history[w];
+  for (std::size_t i = h.head; i-- > 0;)
     if (h.values[i] == word) return true;
-  // A word that has been written but not often enough to wrap the history
-  // may still legally read as its initial zero (stale copy of the first
-  // fill).
-  return !h.wrapped && word == 0;
+  for (std::size_t i = h.values.size(); i-- > h.head;)
+    if (h.values[i] == word) return true;
+  // A history that is not yet full holds every value the word ever had,
+  // and the word may still legally read as its initial zero (stale copy
+  // of the first fill).
+  return h.values.size() < history_depth_ && word == 0;
+}
+
+void InvariantChecker::deposit(Addr addr, std::uint64_t word) {
+  BlockRecord& r = blocks_[mem::block_of(addr)];
+  const unsigned w = mem::word_of(addr);
+  r.shadow[w] = word;
+  r.written = static_cast<std::uint8_t>(r.written | 1u << w);
+  record(r.history[w], word);
 }
 
 void InvariantChecker::on_global_write(NodeId, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  shadow_[mem::word_base(addr)] = word;
-  record(mem::word_base(addr), word);
+  deposit(addr, word);
 }
 
 void InvariantChecker::on_local_write(NodeId, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  record(mem::word_base(addr), word);
+  record(blocks_[mem::block_of(addr)].history[mem::word_of(addr)], word);
 }
 
 void InvariantChecker::on_update_delivered(NodeId dst, Addr addr, NodeId,
@@ -101,20 +115,20 @@ void InvariantChecker::on_update_delivered(NodeId dst, Addr addr, NodeId,
 
 void InvariantChecker::on_poke(Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
-  shadow_[mem::word_base(addr)] = word;
-  record(mem::word_base(addr), word);
+  deposit(addr, word);
 }
 
 void InvariantChecker::on_read(NodeId reader, Addr addr, std::uint64_t word) {
   if (!mem::is_shared(addr)) return;
   ++checks_;
-  const Addr wa = mem::word_base(addr);
-  if (known_value(wa, word)) return;
+  const BlockRecord* r = blocks_.find(mem::block_of(addr));
+  const unsigned w = mem::word_of(addr);
+  if (known_value(r, w, word)) return;
   std::string what = "read of a value no write produced\n";
-  what += "  word " + hexs(wa) + " read as " + hexs(word) + " by node " +
-          std::to_string(reader);
-  if (auto it = shadow_.find(wa); it != shadow_.end())
-    what += " (last globally-ordered value " + hexs(it->second) + ")";
+  what += "  word " + hexs(mem::word_base(addr)) + " read as " + hexs(word) +
+          " by node " + std::to_string(reader);
+  if (r && (r->written >> w & 1u))
+    what += " (last globally-ordered value " + hexs(r->shadow[w]) + ")";
   else
     what += " (word never globally written)";
   fail(mem::block_of(addr), what);
@@ -132,9 +146,8 @@ void InvariantChecker::on_writable(NodeId node, mem::BlockAddr b) {
   }
 }
 
-std::vector<std::pair<NodeId, mem::LineState>> InvariantChecker::holders(
-    mem::BlockAddr b) const {
-  std::vector<std::pair<NodeId, mem::LineState>> out;
+InvariantChecker::Holders InvariantChecker::holders(mem::BlockAddr b) const {
+  Holders out;
   for (NodeId n = 0; n < nodes_.size(); ++n)
     if (const mem::CacheLine* l = nodes_[n].cache->find(b))
       out.emplace_back(n, l->state);
@@ -172,9 +185,9 @@ std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
     s += state_name(st);
   }
   s += '\n';
-  if (auto it = recent_.find(b); it != recent_.end()) {
+  if (const BlockRecord* r = blocks_.find(b); r && !r->recent.empty()) {
     s += "  recent events for block:\n";
-    it->second.for_last(kTraceTail, [&s](const TraceEvent& e) {
+    r->recent.for_last(kTraceTail, [&s](const TraceEvent& e) {
       s += "    " + format_event(e) + "\n";
     });
   }
@@ -187,14 +200,12 @@ void InvariantChecker::fail(mem::BlockAddr b, const std::string& what) const {
 }
 
 void InvariantChecker::on_event(const TraceEvent& e) {
-  recent_[mem::block_of(e.addr)].push(e);
+  blocks_[mem::block_of(e.addr)].recent.push(e);
 }
 
-void InvariantChecker::audit_entry(NodeId home, mem::BlockAddr b,
-                                   const mem::DirEntry& e) {
-  (void)home;
+void InvariantChecker::audit_entry(mem::BlockAddr b, const mem::DirEntry& e,
+                                   const Holders& hs) {
   ++checks_;
-  const auto hs = holders(b);
   std::uint64_t held = 0;
   for (const auto& [n, st] : hs) held |= std::uint64_t{1} << n;
 
@@ -239,13 +250,13 @@ void InvariantChecker::audit_entry(NodeId home, mem::BlockAddr b,
 }
 
 void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
-                                  const mem::DirEntry& e) {
+                                  const mem::DirEntry& e, const Holders& hs) {
   const bool dirty = e.state == mem::DirState::Exclusive ||
                      e.state == mem::DirState::Private;
+  const BlockRecord* r = blocks_.find(b);
   for (unsigned w = 0; w < mem::kWordsPerBlock; ++w) {
     const Addr wa = mem::block_base(b) + w * mem::kWordSize;
-    std::uint64_t expect = 0;
-    if (auto it = shadow_.find(wa); it != shadow_.end()) expect = it->second;
+    const std::uint64_t expect = r ? r->shadow[w] : 0;
     ++checks_;
     const auto check = [&](std::uint64_t got, const std::string& where) {
       if (got != expect)
@@ -260,7 +271,7 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
               "owner " + std::to_string(e.owner) + " cache");
     } else {
       check(nodes_[home].memory->read_word(wa, mem::kWordSize), "home memory");
-      for (const auto& [n, st] : holders(b)) {
+      for (const auto& [n, st] : hs) {
         const std::uint64_t got = nodes_[n].cache->read(wa, mem::kWordSize);
         if (st == mem::LineState::ValidU) {
           // A write-through update protocol can legally strand a racing
@@ -271,7 +282,7 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
           // copy (MCS qnode flags hit this constantly). Equality with
           // memory is therefore not an invariant for ValidU copies; every
           // word must still be a value some write actually produced.
-          if (!known_value(wa, got))
+          if (!known_value(r, w, got))
             fail(b, "data fabrication at quiescence\n  word " + hexs(wa) +
                         " node " + std::to_string(n) + " cache holds " +
                         hexs(got) + ", which no write produced (memory holds " +
@@ -289,8 +300,9 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
 void InvariantChecker::final_audit() {
   for (NodeId h = 0; h < nodes_.size(); ++h) {
     for (const auto& [b, e] : nodes_[h].dir->entries()) {
-      audit_entry(h, b, e);
-      audit_data(h, b, e);
+      const Holders hs = holders(b);
+      audit_entry(b, e, hs);
+      audit_data(h, b, e, hs);
     }
   }
   // Reverse direction: a valid cache line must be backed by a home entry

@@ -53,6 +53,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/block_table.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/memory_module.hpp"
@@ -62,10 +63,11 @@
 #include "sim/types.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ccsim::obs {
@@ -140,31 +142,44 @@ private:
     const mem::Directory* dir = nullptr;
     mem::MemoryModule* memory = nullptr;
   };
+  /// One word's recent values: appended until it holds history_depth_ of
+  /// them, then a ring whose oldest value `head` overwrites next. The
+  /// newest value sits at head-1, or at the end while head is 0.
   struct History {
-    std::vector<std::uint64_t> values;  ///< ring, newest at (head-1)
+    std::vector<std::uint64_t> values;
     std::size_t head = 0;
-    bool wrapped = false;
   };
+  /// Everything the checker keeps about one block.
+  struct BlockRecord {
+    EventRing<kTraceTail> recent;  ///< trace tail for reports
+    std::array<std::uint64_t, mem::kWordsPerBlock> shadow{};  ///< last ordered values
+    std::uint8_t written = 0;  ///< bit w: word w has a globally-ordered value
+    std::array<History, mem::kWordsPerBlock> history;
+  };
+  using Holders = std::vector<std::pair<NodeId, mem::LineState>>;
 
-  void record(Addr word_addr, std::uint64_t word);
-  [[nodiscard]] bool known_value(Addr word_addr, std::uint64_t word) const;
+  /// A globally-ordered value of the word at `addr` (a write or a poke).
+  void deposit(Addr addr, std::uint64_t word);
+  void record(History& h, std::uint64_t word);
+  /// Whether word `w` of the block with record `r` (null: none) may read
+  /// as `word`.
+  [[nodiscard]] bool known_value(const BlockRecord* r, unsigned w,
+                                 std::uint64_t word) const;
 
   /// All caches currently holding block `b`, with their line states.
-  [[nodiscard]] std::vector<std::pair<NodeId, mem::LineState>> holders(
-      mem::BlockAddr b) const;
+  [[nodiscard]] Holders holders(mem::BlockAddr b) const;
 
   [[nodiscard]] std::string describe_block(mem::BlockAddr b) const;
   [[noreturn]] void fail(mem::BlockAddr b, const std::string& what) const;
 
-  void audit_entry(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
-  void audit_data(NodeId home, mem::BlockAddr b, const mem::DirEntry& e);
+  void audit_entry(mem::BlockAddr b, const mem::DirEntry& e, const Holders& hs);
+  void audit_data(NodeId home, mem::BlockAddr b, const mem::DirEntry& e,
+                  const Holders& hs);
 
   std::size_t history_depth_;
   const mem::SharedAllocator* alloc_ = nullptr;
   std::vector<NodeView> nodes_;
-  std::unordered_map<Addr, std::uint64_t> shadow_;  ///< word addr -> value
-  std::unordered_map<Addr, History> history_;
-  std::unordered_map<mem::BlockAddr, EventRing<kTraceTail>> recent_;
+  mem::BlockTable<BlockRecord> blocks_;
   std::uint64_t checks_ = 0;
 };
 

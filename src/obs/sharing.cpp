@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -222,8 +223,7 @@ void SharingTracker::on_update_delivered(NodeId dst, Addr a, NodeId, Delivery d,
 void SharingTracker::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  for (auto& [b, s] : blocks_) {
-    (void)b;
+  blocks_.for_each([this](mem::BlockAddr, BlockStats& s) {
     if (s.writes != 0) {
       close_interval(s, kInvalidNode);
       if (s.run_len != 0) {
@@ -237,7 +237,7 @@ void SharingTracker::finalize() {
           static_cast<std::uint64_t>(std::popcount(s.pending_unread[w]));
       s.pending_unread[w] = 0;
     }
-  }
+  });
 }
 
 SharingPattern SharingTracker::classify(const BlockStats& s) const {
@@ -327,10 +327,9 @@ SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {
   r.on = true;
   r.nprocs = nprocs_;
   r.cu_threshold = cu_threshold_;
-  r.blocks.reserve(blocks_.size());
 
-  for (const auto& [b, s] : blocks_) {
-    if (!s.in_report) continue;
+  blocks_.for_each([&](mem::BlockAddr b, const BlockStats& s) {
+    if (!s.in_report) return;
     SharingReport::Row row;
     row.block = b;
     row.base = mem::block_base(b);
@@ -369,7 +368,7 @@ SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {
     r.total_cu += row.cost_cu;
     ++r.pattern_blocks[static_cast<std::size_t>(row.pattern)];
     r.blocks.push_back(std::move(row));
-  }
+  });
 
   std::sort(r.blocks.begin(), r.blocks.end(),
             [](const SharingReport::Row& a, const SharingReport::Row& b) {
@@ -426,20 +425,22 @@ SharingReport SharingTracker::report(const mem::SharedAllocator* alloc) const {
 std::vector<HotBlock> SharingTracker::hot(std::size_t k,
                                           const mem::SharedAllocator* alloc) const {
   std::vector<HotBlock> rows;
-  for (const auto& [b, s] : blocks_) {
-    if (s.hot.score() == 0) continue;
+  blocks_.for_each([&rows](mem::BlockAddr b, const BlockStats& s) {
+    if (s.hot.score() == 0) return;
     HotBlock r;
     r.block = b;
     r.base = mem::block_base(b);
-    if (alloc) r.name = alloc->name_of(r.base);
     r.cell = s.hot;
     rows.push_back(std::move(r));
-  }
+  });
   std::sort(rows.begin(), rows.end(), [](const HotBlock& a, const HotBlock& b) {
     const std::uint64_t sa = a.cell.score(), sb = b.cell.score();
     return sa != sb ? sa > sb : a.block < b.block;
   });
   if (rows.size() > k) rows.resize(k);
+  // Naming formats a string per row: name only the rows returned.
+  if (alloc)
+    for (HotBlock& r : rows) r.name = alloc->name_of(r.base);
   return rows;
 }
 

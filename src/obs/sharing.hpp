@@ -39,6 +39,7 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/block_table.hpp"
 #include "mem/directory.hpp"
 #include "obs/observer.hpp"
 #include "proto/protocol.hpp"
@@ -47,7 +48,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -180,9 +180,10 @@ public:
   /// (accessor sets are 64-bit node bitmaps).
   explicit SharingTracker(unsigned nprocs, unsigned cu_threshold);
 
-  // Observer hooks. All are O(1) per call and allocate only on the first
-  // touch of a block; none reads the `word` argument. on_poke stays a no-op:
-  // pre-run initialization is not program sharing.
+  // Observer hooks. All are O(1) per call and allocate only when a block
+  // lands past the last chunk of the per-block table; none reads the `word`
+  // argument. on_poke stays a no-op: pre-run initialization is not program
+  // sharing.
 
   /// A read of `a` completed at `reader` (cache hits included).
   void on_read(NodeId reader, Addr a, std::uint64_t word) override;
@@ -280,8 +281,8 @@ private:
 
   unsigned nprocs_;
   unsigned cu_threshold_;
-  /// Ordered map: deterministic iteration for byte-stable reports.
-  std::map<mem::BlockAddr, BlockStats> blocks_;
+  /// Walked in block order, so reports are byte-stable.
+  mem::BlockTable<BlockStats> blocks_;
   bool finalized_ = false;
 };
 

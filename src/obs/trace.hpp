@@ -90,6 +90,7 @@ template <std::size_t N>
 class EventRing {
 public:
   void push(const TraceEvent& e) noexcept { slots_[pushed_++ % N] = e; }
+  [[nodiscard]] bool empty() const noexcept { return pushed_ == 0; }
 
   /// Calls `f` on each of the last `n` events still held, oldest first.
   template <class F>

@@ -93,7 +93,7 @@ void HomeController::admit(const net::Message& req) {
 
 HomeController::Hold& HomeController::hold(const net::Message& req) {
   const mem::BlockAddr b = mem::block_of(req.addr);
-  auto [it, fresh] = holds_.try_emplace(b, Hold{req});
+  auto [it, fresh] = holds_.try_emplace(b, Hold{req, {}, false, false});
   CCSIM_CHECK(fresh, "home=%u block=%#llx cycle=%llu: holding a block that is held",
               static_cast<unsigned>(id_), static_cast<unsigned long long>(b),
               static_cast<unsigned long long>(ctx_.q.now()));

@@ -18,13 +18,13 @@
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/block_table.hpp"
 #include "obs/observer.hpp"
 #include "sim/types.hpp"
 #include "stats/counters.hpp"
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace ccsim::stats {
@@ -78,7 +78,7 @@ private:
   unsigned nprocs_;
   Counters& counters_;
   obs::Observers observers_;
-  std::unordered_map<mem::BlockAddr, BlockInfo> blocks_;
+  mem::BlockTable<BlockInfo> blocks_;
 };
 
 } // namespace ccsim::stats

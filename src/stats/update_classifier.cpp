@@ -53,9 +53,9 @@ void UpdateClassifier::on_drop_update(NodeId proc, Addr addr) {
 void UpdateClassifier::on_reference(NodeId proc, Addr addr) {
   if (!mem::is_shared(addr)) return;
   const mem::BlockAddr b = mem::block_of(addr);
-  auto it = blocks_.find(b);
-  if (it == blocks_.end() || it->second.procs.empty()) return;
-  PerProc& pp = it->second.procs[proc];
+  BlockInfo* bi = blocks_.find(b);
+  if (!bi || bi->procs.empty()) return;
+  PerProc& pp = bi->procs[proc];
   if (pp.pending == 0) return;
   const unsigned w = mem::word_of(addr);
   const std::uint8_t bit = static_cast<std::uint8_t>(1u << w);
@@ -70,20 +70,22 @@ void UpdateClassifier::on_reference(NodeId proc, Addr addr) {
 }
 
 void UpdateClassifier::on_block_replaced(NodeId proc, mem::BlockAddr b) {
-  auto it = blocks_.find(b);
-  if (it == blocks_.end() || it->second.procs.empty()) return;
-  PerProc& pp = it->second.procs[proc];
+  BlockInfo* bi = blocks_.find(b);
+  if (!bi || bi->procs.empty()) return;
+  PerProc& pp = bi->procs[proc];
   for (unsigned w = 0; w < mem::kWordsPerBlock; ++w)
     finalize_word(pp, b, w, UpdateClass::Replacement);
 }
 
 void UpdateClassifier::finalize(Cycle) {
-  for (auto& [b, bi] : blocks_) {
+  // Block-address order; the counts and the observers' per-block sums do
+  // not depend on it.
+  blocks_.for_each([this](mem::BlockAddr b, BlockInfo& bi) {
     for (auto& pp : bi.procs) {
       for (unsigned w = 0; w < mem::kWordsPerBlock; ++w)
         finalize_word(pp, b, w, UpdateClass::Termination);
     }
-  }
+  });
 }
 
 } // namespace ccsim::stats

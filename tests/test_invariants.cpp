@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -171,6 +173,55 @@ TEST(InvariantChecker, HistoryCoversSixtyFourNodeUpdateFanOut) {
   const harness::RunResult r =
       harness::run_stress_cell(checked(proto::Protocol::PU, 64), sp);
   EXPECT_GT(r.invariant_checks, 0u);
+}
+
+TEST(InvariantChecker, ValueHistoryBoundariesThroughTheHooks) {
+  // Membership at the edges of a 1024-value history: until the history is
+  // full a word may still read as its initial zero, and once it is full
+  // only the last 1024 values count.
+  obs::InvariantChecker chk(16);
+  ASSERT_EQ(obs::InvariantChecker::history_depth(16), 1024u);
+  // The report of a read of `v` at `a`, or "" when the read passes.
+  const auto read = [&chk](Addr a, std::uint64_t v) -> std::string {
+    try {
+      chk.on_read(1, a, v);
+      return {};
+    } catch (const InvariantViolation& e) {
+      return e.what();
+    }
+  };
+  const Addr word = mem::kSharedBase;
+  for (std::uint64_t v = 1; v <= 1023; ++v) chk.on_global_write(0, word, v);
+  EXPECT_EQ(read(word, 0), "");
+  EXPECT_EQ(read(word, 1), "");
+  EXPECT_EQ(read(word, 1023), "");
+
+  chk.on_global_write(0, word, 1024);  // the history is now full
+  const std::string zero = read(word, 0);
+  EXPECT_NE(zero.find("read of a value no write produced"), std::string::npos) << zero;
+  EXPECT_NE(zero.find("(last globally-ordered value 0x400)"), std::string::npos) << zero;
+
+  chk.on_global_write(0, word, 1025);  // 1 falls out
+  EXPECT_NE(read(word, 1), "");
+  EXPECT_EQ(read(word, 2), "");
+  EXPECT_EQ(read(word, 1025), "");
+
+  // Values a copy shows before they are globally ordered: an applied
+  // update delivery and a local write are admitted, a stale delivery is not.
+  const Addr updated = mem::kSharedBase + mem::kBlockSize;
+  const Addr local = updated + mem::kWordSize;
+  chk.on_update_delivered(1, updated, 0, obs::Delivery::Applied, 42);
+  chk.on_update_delivered(1, updated, 0, obs::Delivery::Stale, 43);
+  chk.on_local_write(1, local, 77);
+  EXPECT_EQ(read(updated, 42), "");
+  EXPECT_EQ(read(updated, 0), "");
+  EXPECT_EQ(read(local, 77), "");
+  for (const auto& [a, v] : {std::pair{updated, std::uint64_t{43}},
+                             std::pair{local, std::uint64_t{78}}}) {
+    const std::string what = read(a, v);
+    EXPECT_NE(what.find("read of a value no write produced"), std::string::npos) << what;
+    EXPECT_NE(what.find("(word never globally written)"), std::string::npos) << what;
+  }
 }
 
 TEST(Watchdog, LostWakeupDrainsTheQueueAndThrowsDeadlockError) {

@@ -58,4 +58,34 @@ TEST(SharedAlloc, AlignmentRespected) {
   EXPECT_EQ(p % 64, 0u);
 }
 
+TEST(SharedAlloc, UnplacedBlocksBesidePlacedOnesStayInterleaved) {
+  // Placement tags live in per-block records; a record nothing placed must
+  // read as interleaved, not as home 0.
+  SharedAllocator a(8);
+  const Addr placed = a.allocate_on(5, kBlockSize);
+  const Addr inter = a.allocate(4 * kBlockSize, kBlockSize);
+  EXPECT_EQ(a.home_of(block_of(placed)), 5u);
+  for (unsigned i = 0; i < 4; ++i) {
+    const BlockAddr b = block_of(inter) + i;
+    EXPECT_EQ(a.home_of(b), b % 8) << i;
+  }
+  // Far past every record.
+  const BlockAddr far = block_of(inter) + 100000;
+  EXPECT_EQ(a.home_of(far), far % 8);
+  EXPECT_EQ(a.domain_of(far), 0u);
+}
+
+TEST(SharedAlloc, DomainsTagBlocksAndPrivateBlocksKeepTheDefaults) {
+  SharedAllocator a(4);
+  const Addr p = a.allocate_on(3, 2 * kBlockSize);
+  a.set_domain(p + kBlockSize, 8, 2);
+  EXPECT_EQ(a.domain_of(block_of(p)), 0u);
+  EXPECT_EQ(a.domain_of(block_of(p) + 1), 2u);
+  EXPECT_EQ(a.home_of(block_of(p) + 1), 3u) << "a domain tag keeps the placement";
+  // Private memory (below kSharedBase) has no records: Hybrid machines look
+  // up the domain of every access, private ones included.
+  EXPECT_EQ(a.domain_of(block_of(0x100)), 0u);
+  EXPECT_EQ(a.home_of(block_of(0x100)), block_of(0x100) % 4);
+}
+
 } // namespace
