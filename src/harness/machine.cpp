@@ -57,6 +57,7 @@ Machine::Machine(MachineConfig cfg)
       ctx_{q_,
            net_,
            alloc_,
+           homes_,
            counters_,
            misses_,
            updates_,
@@ -87,10 +88,9 @@ Machine::Machine(MachineConfig cfg)
   }
   if (checker_) {
     checker_->set_alloc(&alloc_);
+    checker_->set_homes(&homes_);
     for (NodeId i = 0; i < cfg_.nprocs; ++i)
-      checker_->attach_node(&nodes_[i]->cache_ctrl().cache(),
-                            &nodes_[i]->home_ctrl().directory(),
-                            &nodes_[i]->home_ctrl().memory());
+      checker_->attach_node(&nodes_[i]->cache_ctrl().cache());
     trace_->add_sink(checker_.get());
   }
 }
@@ -252,14 +252,12 @@ Cycle Machine::run_all(const Program& program) {
 
 void Machine::poke(Addr addr, std::uint64_t value, std::size_t size) {
   assert(mem::is_shared(addr));
-  const mem::BlockAddr b = mem::block_of(addr);
-  const NodeId home = alloc_.home_of(b);
-  mem::MemoryModule& m = nodes_[home]->home_ctrl().memory_for(b);
-  m.write_word(addr, size, value);
+  homes_.write_word(addr, size, value);
   // Report the full resulting word so sub-word pokes stay consistent with
   // the checker's whole-word shadow.
   const Addr base = mem::word_base(addr);
-  for (obs::Observer* o : observers_) o->on_poke(base, m.read_word(base, mem::kWordSize));
+  for (obs::Observer* o : observers_)
+    o->on_poke(base, homes_.read_word(base, mem::kWordSize));
 }
 
 void Machine::bind_protocol(Addr addr, std::size_t size, proto::Protocol p) {
@@ -270,16 +268,14 @@ void Machine::bind_protocol(Addr addr, std::size_t size, proto::Protocol p) {
 
 std::uint64_t Machine::peek(Addr addr, std::size_t size) {
   const mem::BlockAddr b = mem::block_of(addr);
-  const NodeId home = alloc_.home_of(b);
-  auto& hc = nodes_[home]->home_ctrl();
   // A dirty copy (WI Exclusive / PU Private) holds the freshest data.
-  if (const mem::DirEntry* e = hc.directory_for(b).find(b);
+  if (const mem::DirEntry* e = homes_.find(b);
       e && (e->state == mem::DirState::Exclusive || e->state == mem::DirState::Private) &&
       e->owner != kInvalidNode) {
     if (nodes_[e->owner]->cache_ctrl().cache_for(b).find(b))
       return nodes_[e->owner]->cache_ctrl().cache_for(b).read(addr, size);
   }
-  return hc.memory_for(b).read_word(addr, size);
+  return homes_.read_word(addr, size);
 }
 
 } // namespace ccsim::harness

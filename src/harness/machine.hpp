@@ -69,8 +69,8 @@ struct ObsConfig {
   /// directories, caches and data against shadow memory at the end of the
   /// run. Pure observer -- it schedules no events, so simulated cycle
   /// counts are identical with it on or off. Not supported on
-  /// Protocol::Hybrid (three engines share each node; the per-node
-  /// cache/directory pairing the checker audits does not exist).
+  /// Protocol::Hybrid (three engines share each node, each with its own
+  /// cache; the checker audits one cache per node).
   bool check_invariants = false;
   /// Collect host-performance telemetry (obs/host_perf.hpp): simulator
   /// throughput, event-queue depth statistics, allocation counters, and
@@ -144,6 +144,8 @@ public:
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] sim::EventQueue& queue() noexcept { return q_; }
   [[nodiscard]] mem::SharedAllocator& alloc() noexcept { return alloc_; }
+  /// Every home's directory entries and memory contents.
+  [[nodiscard]] const mem::HomeTable& homes() const noexcept { return homes_; }
   [[nodiscard]] stats::Counters& counters() noexcept { return counters_; }
   [[nodiscard]] cpu::Cpu& cpu(NodeId i) { return procs_.at(i)->cpu(); }
   [[nodiscard]] proto::Node& node(NodeId i) { return *nodes_.at(i); }
@@ -186,6 +188,7 @@ private:
   std::unique_ptr<obs::TraceLog> trace_;
   stats::Counters counters_;
   mem::SharedAllocator alloc_;
+  mem::HomeTable homes_;
   std::unique_ptr<obs::InvariantChecker> checker_;
   /// Attached when obs.sharing or obs.hot_blocks is set; each report reads
   /// from it only when its own flag is.

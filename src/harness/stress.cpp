@@ -15,6 +15,11 @@
 namespace ccsim::harness {
 namespace {
 
+/// Critical-section hold time of the stress cell's lock operations.
+constexpr Cycle kHoldCycles = 20;
+/// Bound of the think pause between random operations.
+constexpr Cycle kMaxThink = 40;
+
 [[noreturn]] void value_mismatch(const char* what, Addr a, std::uint64_t got,
                                  std::uint64_t want) {
   throw std::logic_error("stress end-to-end check failed: " + std::string(what) +
@@ -102,14 +107,14 @@ RunResult run_stress_cell(const MachineConfig& cfg, const StressParams& params) 
           r.latency.add(c.queue().now() - t0);
           if (++in_cs != 1) throw std::logic_error("mutual exclusion violated");
           const std::uint64_t v = co_await c.load(counters);
-          co_await c.think(params.hold_cycles);
+          co_await c.think(kHoldCycles);
           co_await c.store(counters, v + 1);
           ++cs_total;
           --in_cs;
           co_await lock->release(c);
           ++ops_total;
         } else {
-          co_await c.think(1 + rng.below(params.max_think));
+          co_await c.think(1 + rng.below(kMaxThink));
         }
       }
       if (seg_reduce[seg]) {

@@ -30,8 +30,6 @@ struct StressParams {
   unsigned segments = 6;          ///< barrier-delimited segments
   unsigned ops_per_segment = 48;  ///< random memory ops per proc per segment
   unsigned data_blocks = 16;      ///< shared arena size (64 B blocks)
-  Cycle hold_cycles = 20;         ///< critical-section hold time
-  Cycle max_think = 40;           ///< think pause bound between ops
 };
 
 /// Run one stress cell. Enable the invariant checker / watchdog / jitter

@@ -13,6 +13,13 @@
 #include <vector>
 
 namespace ccsim::harness {
+namespace {
+
+/// The lock experiment's critical section: the paper's "hold 50 cycles"
+/// (section 4.1).
+constexpr Cycle kLockHoldCycles = 50;
+
+} // namespace
 
 std::string_view to_string(LockKind k) noexcept {
   switch (k) {
@@ -116,12 +123,12 @@ RunResult run_lock_experiment(const MachineConfig& cfg, const LockFactory& make,
       co_await lock->acquire(c);
       r.latency.add(c.queue().now() - t0);
       if (++in_cs != 1) throw std::logic_error("mutual exclusion violated");
-      co_await c.think(params.hold_cycles);
+      co_await c.think(kLockHoldCycles);
       --in_cs;
       co_await lock->release(c);
       if (params.work_ratio != 0) {
         // Work outside / inside the critical section ~= work_ratio (+-10%).
-        const Cycle base = params.hold_cycles * params.work_ratio;
+        const Cycle base = kLockHoldCycles * params.work_ratio;
         const Cycle jitter = base / 10;
         co_await c.think(base - jitter + rng.below(2 * jitter + 1));
       } else if (params.random_pause_max != 0) {
@@ -132,7 +139,7 @@ RunResult run_lock_experiment(const MachineConfig& cfg, const LockFactory& make,
 
   r.cycles = m.run_all(program);
   r.avg_latency = static_cast<double>(r.cycles) / static_cast<double>(executed) -
-                  static_cast<double>(params.hold_cycles);
+                  static_cast<double>(kLockHoldCycles);
   r.counters = m.counters();
   capture_obs(r, m);
   return r;
@@ -210,7 +217,7 @@ RunResult run_reduction_experiment(const MachineConfig& cfg, ReductionKind kind,
         co_await par->reduce(c, v, &result);
       else
         co_await seq->reduce(c, v, &result);
-      if (params.verify && result != oracle[rd])
+      if (result != oracle[rd])
         throw std::logic_error("reduction produced a wrong global maximum");
     }
   };

@@ -76,17 +76,16 @@ struct RunResult {
 /// machine that has finished its run.
 void capture_obs(RunResult& r, const Machine& m);
 
-/// Lock experiment (section 4.1): each processor acquires, holds for
-/// `hold_cycles`, releases, in a tight loop executed total_acquires/P
-/// times. avg_latency = cycles/total_acquires - hold_cycles (figure 8).
+/// Lock experiment (section 4.1): each processor acquires, holds for 50
+/// cycles, releases, in a tight loop executed total_acquires/P times.
+/// avg_latency = cycles/total_acquires - 50 (figure 8).
 struct LockParams {
   std::uint64_t total_acquires = 32000;
-  Cycle hold_cycles = 50;
   /// Pseudorandom bounded pause after each release (0 = the paper's tight
   /// loop; >0 = the reduced-contention variant, pause in [1, value]).
   Cycle random_pause_max = 0;
   /// If nonzero, overrides random_pause_max with a deterministic pause of
-  /// hold_cycles * work_ratio (the "work outside/inside = P" variant).
+  /// the hold time * work_ratio (the "work outside/inside = P" variant).
   unsigned work_ratio = 0;
   std::uint64_t seed = 0x5eed;
 };
@@ -112,15 +111,15 @@ RunResult run_barrier_experiment(const MachineConfig& cfg, BarrierKind kind,
 
 /// Reduction experiment (section 4.3): `rounds` max-reductions in a tight
 /// loop, synchronized by zero-traffic magic lock/barrier so only the
-/// reduction's own traffic is measured. avg_latency = cycles/rounds
-/// (figure 14). `imbalance_max` > 0 adds a pseudorandom pre-reduction
-/// delay in [0, value] to reduce lock contention (the paper's load
-/// imbalance variant).
+/// reduction's own traffic is measured; every round's result is checked
+/// against a host-side oracle. avg_latency = cycles/rounds (figure 14).
+/// `imbalance_max` > 0 adds a pseudorandom pre-reduction delay in
+/// [0, value] to reduce lock contention (the paper's load imbalance
+/// variant).
 struct ReductionParams {
   std::uint64_t rounds = 5000;
   Cycle imbalance_max = 0;
   std::uint64_t seed = 0xbeef;
-  bool verify = true;  ///< check every round's result against the oracle
 };
 
 RunResult run_reduction_experiment(const MachineConfig& cfg, ReductionKind kind,

@@ -1,12 +1,23 @@
-// Full-map directory (one entry per shared block, lazily created).
+// Full-map directory and home memory: one record per shared block.
+//
+// Under the full-map directory (paper, section 3.1) every shared block has
+// exactly one home, which keeps its directory entry and its memory copy.
+// The home is fixed before the run (SharedAllocator::home_of, and on a
+// Hybrid node the engine its domain selects), so exactly one (node,
+// engine) ever touches a block's record and one machine-wide HomeTable
+// holds every home's state: each home controller reads and writes its
+// slice of it. The memory bank's timing stays with each home
+// (mem/memory_module.hpp).
 #pragma once
 
 #include "mem/address.hpp"
+#include "mem/block_table.hpp"
 #include "sim/types.hpp"
 
+#include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 namespace ccsim::mem {
 
@@ -40,22 +51,51 @@ struct DirEntry {
   }
 };
 
-class Directory {
-public:
-  /// Entry for block `b`, creating an Unowned one on first touch.
-  [[nodiscard]] DirEntry& entry(BlockAddr b) { return map_[b]; }
+/// Everything a block's home keeps about it.
+struct HomeBlock {
+  DirEntry entry;
+  bool has_entry = false;  ///< a home transaction touched the block
+  std::array<std::byte, kBlockSize> data{};  ///< memory copy, zero until written
+};
 
-  [[nodiscard]] const DirEntry* find(BlockAddr b) const {
-    auto it = map_.find(b);
-    return it == map_.end() ? nullptr : &it->second;
+/// One HomeBlock per shared block, machine-wide (see the header comment).
+class HomeTable {
+public:
+  /// Directory entry for block `b`, creating an Unowned one on first touch.
+  [[nodiscard]] DirEntry& entry(BlockAddr b) {
+    HomeBlock& h = blocks_[b];
+    h.has_entry = true;
+    return h.entry;
   }
 
-  [[nodiscard]] const std::unordered_map<BlockAddr, DirEntry>& entries() const {
-    return map_;
+  /// The entry of `b`, or nullptr if no home transaction touched it.
+  [[nodiscard]] const DirEntry* find(BlockAddr b) const noexcept {
+    const HomeBlock* h = blocks_.find(b);
+    return h && h->has_entry ? &h->entry : nullptr;
+  }
+
+  /// Calls f(block, entry) for every block with an entry, in block order.
+  template <class F>
+  void for_each_entry(F&& f) const {
+    blocks_.for_each([&f](BlockAddr b, const HomeBlock& h) {
+      if (h.has_entry) f(b, h.entry);
+    });
+  }
+
+  // --- memory contents; writing memory creates no directory entry ------
+
+  [[nodiscard]] std::uint64_t read_word(Addr addr, std::size_t size) const;
+  void write_word(Addr addr, std::size_t size, std::uint64_t value);
+
+  [[nodiscard]] const std::array<std::byte, kBlockSize>& read_block(BlockAddr b) {
+    return blocks_[b].data;
+  }
+  void write_block(BlockAddr b, const std::array<std::byte, kBlockSize>& data) {
+    blocks_[b].data = data;
   }
 
 private:
-  std::unordered_map<BlockAddr, DirEntry> map_;
+  BlockTable<HomeBlock> blocks_;
 };
 
 } // namespace ccsim::mem

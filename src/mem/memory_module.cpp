@@ -1,10 +1,6 @@
 #include "mem/memory_module.hpp"
 
-#include "sim/check.hpp"
-
 #include <algorithm>
-#include <cassert>
-#include <cstring>
 
 namespace ccsim::mem {
 namespace {
@@ -43,32 +39,6 @@ Cycle MemoryModule::book(Cycle now, AccessKind kind) {
   const Cycle start = std::max(now, busy_until_);
   busy_until_ = start + service_time(kind);
   return busy_until_;
-}
-
-std::uint64_t MemoryModule::read_word(Addr addr, std::size_t size) const {
-  CCSIM_CHECK(within_word(addr, size),
-              "addr=%#llx size=%zu: memory read crosses a word boundary",
-              static_cast<unsigned long long>(addr), size);
-  auto& blk = store_[block_of(addr)];  // zero-init on first touch
-  std::uint64_t v = 0;
-  std::memcpy(&v, blk.data() + offset_of(addr), size);
-  return v;
-}
-
-void MemoryModule::write_word(Addr addr, std::size_t size, std::uint64_t value) {
-  CCSIM_CHECK(within_word(addr, size),
-              "addr=%#llx size=%zu: memory write crosses a word boundary",
-              static_cast<unsigned long long>(addr), size);
-  auto& blk = store_[block_of(addr)];
-  std::memcpy(blk.data() + offset_of(addr), &value, size);
-}
-
-const std::array<std::byte, kBlockSize>& MemoryModule::read_block(BlockAddr b) {
-  return store_[b];
-}
-
-void MemoryModule::write_block(BlockAddr b, const std::array<std::byte, kBlockSize>& data) {
-  store_[b] = data;
 }
 
 } // namespace ccsim::mem

@@ -53,12 +53,6 @@ namespace {
 
 } // namespace
 
-void InvariantChecker::attach_node(mem::DataCache* cache,
-                                   const mem::Directory* dir,
-                                   mem::MemoryModule* memory) {
-  nodes_.push_back(NodeView{cache, dir, memory});
-}
-
 void InvariantChecker::record(History& h, std::uint64_t word) {
   if (h.values.size() < history_depth_) {
     // Grow geometrically, but never past the depth.
@@ -136,9 +130,9 @@ void InvariantChecker::on_read(NodeId reader, Addr addr, std::uint64_t word) {
 
 void InvariantChecker::on_writable(NodeId node, mem::BlockAddr b) {
   ++checks_;
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
+  for (NodeId n = 0; n < caches_.size(); ++n) {
     if (n == node) continue;
-    const mem::CacheLine* l = nodes_[n].cache->find(b);
+    const mem::CacheLine* l = caches_[n]->find(b);
     if (l && writable(l->state))
       fail(b, "two writable copies (single-writer violation)\n  node " +
                   std::to_string(node) + " installed a writable copy while node " +
@@ -146,26 +140,22 @@ void InvariantChecker::on_writable(NodeId node, mem::BlockAddr b) {
   }
 }
 
-InvariantChecker::Holders InvariantChecker::holders(mem::BlockAddr b) const {
-  Holders out;
-  for (NodeId n = 0; n < nodes_.size(); ++n)
-    if (const mem::CacheLine* l = nodes_[n].cache->find(b))
-      out.emplace_back(n, l->state);
-  return out;
+void InvariantChecker::holders(mem::BlockAddr b, Holders& out) const {
+  out.clear();
+  for (NodeId n = 0; n < caches_.size(); ++n)
+    if (const mem::CacheLine* l = caches_[n]->find(b)) out.emplace_back(n, l->state);
 }
 
 std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
   std::string s = "  block " + hexs(b) + " (base " + hexs(mem::block_base(b));
-  NodeId home = kInvalidNode;
   if (alloc_) {
     if (std::string name = alloc_->name_of(mem::block_base(b)); !name.empty())
       s += ", \"" + name + "\"";
-    home = alloc_->home_of(b);
-    s += ", home " + std::to_string(home);
+    s += ", home " + std::to_string(alloc_->home_of(b));
   }
   s += ")\n";
-  if (home != kInvalidNode && home < nodes_.size()) {
-    if (const mem::DirEntry* e = nodes_[home].dir->find(b)) {
+  if (homes_) {
+    if (const mem::DirEntry* e = homes_->find(b)) {
       s += "  directory: state=";
       s += state_name(e->state);
       s += " owner=";
@@ -176,7 +166,8 @@ std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
     }
   }
   s += "  caches:";
-  const auto hs = holders(b);
+  Holders hs;
+  holders(b, hs);
   if (hs.empty()) s += " (none)";
   for (const auto& [n, st] : hs) {
     s += ' ';
@@ -249,8 +240,8 @@ void InvariantChecker::audit_entry(mem::BlockAddr b, const mem::DirEntry& e,
   }
 }
 
-void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
-                                  const mem::DirEntry& e, const Holders& hs) {
+void InvariantChecker::audit_data(mem::BlockAddr b, const mem::DirEntry& e,
+                                  const Holders& hs) {
   const bool dirty = e.state == mem::DirState::Exclusive ||
                      e.state == mem::DirState::Private;
   const BlockRecord* r = blocks_.find(b);
@@ -258,21 +249,23 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
     const Addr wa = mem::block_base(b) + w * mem::kWordSize;
     const std::uint64_t expect = r ? r->shadow[w] : 0;
     ++checks_;
-    const auto check = [&](std::uint64_t got, const std::string& where) {
+    // `where()` names the copy; it runs only to build a report.
+    const auto check = [&](std::uint64_t got, const auto& where) {
       if (got != expect)
         fail(b, "data mismatch at quiescence\n  word " + hexs(wa) + " " +
-                    where + " holds " + hexs(got) +
+                    where() + " holds " + hexs(got) +
                     ", last globally-ordered value " + hexs(expect));
     };
     if (dirty) {
       // The owner's cache is the authoritative copy; home memory is stale.
-      if (e.owner != kInvalidNode && nodes_[e.owner].cache->find(b))
-        check(nodes_[e.owner].cache->read(wa, mem::kWordSize),
-              "owner " + std::to_string(e.owner) + " cache");
+      if (e.owner != kInvalidNode && caches_[e.owner]->find(b))
+        check(caches_[e.owner]->read(wa, mem::kWordSize),
+              [&] { return "owner " + std::to_string(e.owner) + " cache"; });
     } else {
-      check(nodes_[home].memory->read_word(wa, mem::kWordSize), "home memory");
+      check(homes_->read_word(wa, mem::kWordSize),
+            [] { return std::string("home memory"); });
       for (const auto& [n, st] : hs) {
-        const std::uint64_t got = nodes_[n].cache->read(wa, mem::kWordSize);
+        const std::uint64_t got = caches_[n]->read(wa, mem::kWordSize);
         if (st == mem::LineState::ValidU) {
           // A write-through update protocol can legally strand a racing
           // writer's copy at a superseded value: the writer applies its
@@ -290,7 +283,7 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
         } else {
           // A clean invalidation-protocol copy has no racing-writer excuse:
           // it was filled from memory and invalidated on every write.
-          check(got, "node " + std::to_string(n) + " cache");
+          check(got, [n = n] { return "node " + std::to_string(n) + " cache"; });
         }
       }
     }
@@ -298,24 +291,21 @@ void InvariantChecker::audit_data(NodeId home, mem::BlockAddr b,
 }
 
 void InvariantChecker::final_audit() {
-  for (NodeId h = 0; h < nodes_.size(); ++h) {
-    for (const auto& [b, e] : nodes_[h].dir->entries()) {
-      const Holders hs = holders(b);
-      audit_entry(b, e, hs);
-      audit_data(h, b, e, hs);
-    }
-  }
+  Holders hs;  // refilled for each entry
+  homes_->for_each_entry([&](mem::BlockAddr b, const mem::DirEntry& e) {
+    holders(b, hs);
+    audit_entry(b, e, hs);
+    audit_data(b, e, hs);
+  });
   // Reverse direction: a valid cache line must be backed by a home entry
   // (the forward pass then audited its state against the entry).
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
-    const mem::DataCache& c = *nodes_[n].cache;
+  for (NodeId n = 0; n < caches_.size(); ++n) {
+    const mem::DataCache& c = *caches_[n];
     for (std::size_t i = 0; i < c.num_sets(); ++i) {
       const mem::CacheLine& l = c.line_at(i);
       if (!l.valid()) continue;
       ++checks_;
-      if (!alloc_) continue;
-      const NodeId home = alloc_->home_of(l.block);
-      if (home >= nodes_.size() || !nodes_[home].dir->find(l.block))
+      if (!homes_->find(l.block))
         fail(l.block, "cached block with no directory entry at its home\n  node " +
                           std::to_string(n) + " holds " +
                           std::string(state_name(l.state)));

@@ -35,14 +35,14 @@
 //    intentionally not asserted either: a WI home removes sharers when it
 //    *sends* invalidations, an update home adds a sharer before the fill
 //    arrives. Once the event queue drains, every in-flight transition has
-//    landed, and the checker audits both directions: each directory entry
-//    against the caches (Unowned => no copies; Shared/Update => sharer set
-//    == exactly the caches holding Shared/ValidU; Exclusive/Private =>
-//    owner holds the only, writable, copy) and each valid cache line
-//    against its home's entry. The data audit then compares the
-//    authoritative copy of every written word (owner's cache for
-//    Exclusive/Private, home memory otherwise) -- and every other valid
-//    copy -- against the shadow memory, word for word.
+//    landed, and the checker audits both directions: each directory entry,
+//    in block order, against the caches (Unowned => no copies;
+//    Shared/Update => sharer set == exactly the caches holding
+//    Shared/ValidU; Exclusive/Private => owner holds the only, writable,
+//    copy) and each valid cache line against its home's entry. The data
+//    audit then compares the authoritative copy of every written word
+//    (owner's cache for Exclusive/Private, home memory otherwise) -- and
+//    every other valid copy -- against the shadow memory, word for word.
 //
 // Violations throw InvariantViolation carrying a structured report: the
 // block (with its allocator-assigned symbolic name), its home, the
@@ -56,7 +56,6 @@
 #include "mem/block_table.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
-#include "mem/memory_module.hpp"
 #include "mem/shared_alloc.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
@@ -97,11 +96,13 @@ public:
   /// Name lookup for reports (optional; not owned).
   void set_alloc(const mem::SharedAllocator* a) noexcept { alloc_ = a; }
 
-  /// Register one node's cache, home directory, and home memory. Pointers
-  /// are not owned and must outlive the checker. Call once per node, in
-  /// node-id order, before the run.
-  void attach_node(mem::DataCache* cache, const mem::Directory* dir,
-                   mem::MemoryModule* memory);
+  /// The machine's directory entries and home memory, audited at
+  /// quiescence (not owned; must outlive the checker).
+  void set_homes(const mem::HomeTable* h) noexcept { homes_ = h; }
+
+  /// Register one node's cache (not owned; must outlive the checker). Call
+  /// once per node, in node-id order, before the run.
+  void attach_node(mem::DataCache* cache) { caches_.push_back(cache); }
 
   // --- observer hooks (all synchronous, all may throw) -------------------
 
@@ -126,8 +127,9 @@ public:
   /// Machine::poke wrote simulated memory before the run.
   void on_poke(Addr addr, std::uint64_t word) override;
 
-  /// Full directory/cache agreement + shadow data audit. Call only at
-  /// quiescence (event queue drained, all programs complete).
+  /// Full directory/cache agreement + shadow data audit of the set_homes
+  /// table. Call only at quiescence (event queue drained, all programs
+  /// complete).
   void final_audit();
 
   /// Total individual invariant checks performed (reporting aid).
@@ -137,11 +139,6 @@ public:
   void on_event(const TraceEvent& e) override;
 
 private:
-  struct NodeView {
-    mem::DataCache* cache = nullptr;
-    const mem::Directory* dir = nullptr;
-    mem::MemoryModule* memory = nullptr;
-  };
   /// One word's recent values: appended until it holds history_depth_ of
   /// them, then a ring whose oldest value `head` overwrites next. The
   /// newest value sits at head-1, or at the end while head is 0.
@@ -166,19 +163,20 @@ private:
   [[nodiscard]] bool known_value(const BlockRecord* r, unsigned w,
                                  std::uint64_t word) const;
 
-  /// All caches currently holding block `b`, with their line states.
-  [[nodiscard]] Holders holders(mem::BlockAddr b) const;
+  /// Fill `out` with the caches currently holding block `b`, with their
+  /// line states.
+  void holders(mem::BlockAddr b, Holders& out) const;
 
   [[nodiscard]] std::string describe_block(mem::BlockAddr b) const;
   [[noreturn]] void fail(mem::BlockAddr b, const std::string& what) const;
 
   void audit_entry(mem::BlockAddr b, const mem::DirEntry& e, const Holders& hs);
-  void audit_data(NodeId home, mem::BlockAddr b, const mem::DirEntry& e,
-                  const Holders& hs);
+  void audit_data(mem::BlockAddr b, const mem::DirEntry& e, const Holders& hs);
 
   std::size_t history_depth_;
   const mem::SharedAllocator* alloc_ = nullptr;
-  std::vector<NodeView> nodes_;
+  const mem::HomeTable* homes_ = nullptr;
+  std::vector<mem::DataCache*> caches_;
   mem::BlockTable<BlockRecord> blocks_;
   std::uint64_t checks_ = 0;
 };

@@ -125,16 +125,6 @@ HomeController& HybridHomeController::engine_for(Addr a) {
   return *engines_[engine_index(p)];
 }
 
-mem::MemoryModule& HybridHomeController::memory_for(mem::BlockAddr b) noexcept {
-  const Protocol p = domain_protocol(ctx_.alloc.domain_of(b), ctx_.hybrid_default);
-  return engines_[engine_index(p)]->memory_for(b);
-}
-
-mem::Directory& HybridHomeController::directory_for(mem::BlockAddr b) noexcept {
-  const Protocol p = domain_protocol(ctx_.alloc.domain_of(b), ctx_.hybrid_default);
-  return engines_[engine_index(p)]->directory_for(b);
-}
-
 void HybridHomeController::on_message(const net::Message& msg) {
   engine_for(msg.addr).on_message(msg);
 }

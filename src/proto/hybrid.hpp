@@ -9,10 +9,12 @@
 // selects (Machine::bind_protocol / SharedAllocator::set_domain).
 //
 // Blocks of different domains are disjoint state: each engine keeps its
-// own cache array, write buffer, directory slice and backing store
-// (a "protocol-split cache"; DESIGN.md section 5b records the capacity
-// simplification). Fences synchronize across all engines, preserving
-// release semantics for programs that mix domains.
+// own cache array, write buffer and memory bank (a "protocol-split cache";
+// DESIGN.md section 5b records the capacity simplification), and a block's
+// directory entry and memory sit in the machine's one mem::HomeTable,
+// where only its domain's engine at its home touches them. Fences
+// synchronize across all engines, preserving release semantics for
+// programs that mix domains.
 #pragma once
 
 #include "proto/protocol.hpp"
@@ -68,9 +70,6 @@ public:
   HybridHomeController(NodeId id, ProtocolContext& ctx);
 
   void on_message(const net::Message& msg) override;
-
-  [[nodiscard]] mem::MemoryModule& memory_for(mem::BlockAddr b) noexcept override;
-  [[nodiscard]] mem::Directory& directory_for(mem::BlockAddr b) noexcept override;
 
 protected:
   /// Never called: requests go to the engines, which hold their own blocks.

@@ -26,7 +26,6 @@ public:
   }
 
   [[nodiscard]] CacheController& cache_ctrl() noexcept { return *cache_ctrl_; }
-  [[nodiscard]] HomeController& home_ctrl() noexcept { return *home_ctrl_; }
 
 private:
   std::unique_ptr<CacheController> cache_ctrl_;

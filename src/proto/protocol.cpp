@@ -130,7 +130,7 @@ void HomeController::reply_at(Cycle ready, const net::Message& m) {
   const std::uint32_t index = replies_.park(m);
   ctx_.q.schedule_at(ready, [this, index] {
     net::Message r = replies_.take(index);
-    if (r.has_block) r.block = memory_.read_block(mem::block_of(r.addr));
+    if (r.has_block) r.block = ctx_.homes.read_block(mem::block_of(r.addr));
     send_from(r);
   });
 }
@@ -150,8 +150,8 @@ unsigned HomeController::multicast(const mem::DirEntry& e, net::Message m, NodeI
 
 void HomeController::absorb_writeback(const net::Message& wb) {
   const mem::BlockAddr b = mem::block_of(wb.addr);
-  memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-  memory_.write_block(b, wb.block);
+  bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
+  ctx_.homes.write_block(b, wb.block);
   net::Message ack;
   ack.type = net::MsgType::WritebackAck;
   ack.dst = wb.src;

@@ -62,6 +62,9 @@ struct ProtocolContext {
   sim::EventQueue& q;
   net::Network& net;
   mem::SharedAllocator& alloc;
+  /// Every home's directory entries and memory contents, one record per
+  /// shared block; each home controller uses the blocks homed at it.
+  mem::HomeTable& homes;
   stats::Counters& counters;
   stats::MissClassifier& misses;
   stats::UpdateClassifier& updates;
@@ -146,12 +149,12 @@ protected:
   ProtocolContext& ctx_;
 };
 
-/// Home-side controller: directory + memory bank + protocol engine, and
-/// the per-block serialization every engine shares: while a block is
-/// held by a transaction that cannot finish yet (a WI forward or
-/// exclusive grant, a PU recall, a wait for the owner's writeback), later
-/// requests for it park and are served in arrival order once it is
-/// released.
+/// Home-side controller: memory bank + protocol engine over the records
+/// of ctx.homes for the blocks homed at this node, and the per-block
+/// serialization every engine shares: while a block is held by a
+/// transaction that cannot finish yet (a WI forward or exclusive grant, a
+/// PU recall, a wait for the owner's writeback), later requests for it
+/// park and are served in arrival order once it is released.
 class HomeController {
 public:
   HomeController(NodeId id, ProtocolContext& ctx) : id_(id), ctx_(ctx) {}
@@ -160,15 +163,6 @@ public:
   virtual void on_message(const net::Message& msg) = 0;
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] mem::MemoryModule& memory() noexcept { return memory_; }
-  [[nodiscard]] mem::Directory& directory() noexcept { return dir_; }
-  /// Hybrid dispatch points (plain homes return their own members).
-  [[nodiscard]] virtual mem::MemoryModule& memory_for(mem::BlockAddr) noexcept {
-    return memory_;
-  }
-  [[nodiscard]] virtual mem::Directory& directory_for(mem::BlockAddr) noexcept {
-    return dir_;
-  }
 
 protected:
   /// A held block.
@@ -217,8 +211,7 @@ protected:
 
   NodeId id_;
   ProtocolContext& ctx_;
-  mem::MemoryModule memory_;
-  mem::Directory dir_;
+  mem::MemoryModule bank_;
 
 private:
   void release(mem::BlockAddr b, bool serve_holder);

@@ -24,8 +24,8 @@ void UpdateHomeController::on_message(const Message& msg) {
 
     case MsgType::Prune:
     case MsgType::ReplHint: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
-      DirEntry& e = dir_.entry(b);
+      bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
+      DirEntry& e = ctx_.homes.entry(b);
       e.remove_sharer(msg.src);
       if (e.state == DirState::Private && e.owner == msg.src) {
         // The owner dropped a still-clean copy before learning it had been
@@ -41,7 +41,7 @@ void UpdateHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::Writeback: {
-      DirEntry& e = dir_.entry(b);
+      DirEntry& e = ctx_.homes.entry(b);
       if (msg.flag) {
         // Demotion: the writer keeps a ValidU copy.
         e.state = DirState::Update;
@@ -66,15 +66,15 @@ void UpdateHomeController::on_message(const Message& msg) {
                   static_cast<unsigned long long>(ctx_.q.now()));
       if (msg.flag) {
         // Owner evicted; wait for its Writeback (unless it already landed).
-        if (dir_.entry(b).state != DirState::Private)
+        if (ctx_.homes.entry(b).state != DirState::Private)
           replay(b);
         else
           h->waiting_wb = true;
         return;
       }
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
-      DirEntry& e = dir_.entry(b);
+      bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
+      ctx_.homes.write_block(b, msg.block);
+      DirEntry& e = ctx_.homes.entry(b);
       e.state = DirState::Update;
       e.owner = kInvalidNode;
       e.add_sharer(msg.src);  // the demoted owner keeps its copy
@@ -144,12 +144,12 @@ unsigned UpdateHomeController::multicast_update(const DirEntry& e, Addr word_add
 
 void UpdateHomeController::serve_gets(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  DirEntry& e = dir_.entry(b);
+  DirEntry& e = ctx_.homes.entry(b);
   if (e.state == DirState::Private) {
     hold_private(e, msg);
     return;
   }
-  const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
+  const Cycle ready = bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
   Message d;
   d.type = MsgType::DataS;
   d.dst = msg.src;
@@ -162,7 +162,7 @@ void UpdateHomeController::serve_gets(const Message& msg) {
 
 void UpdateHomeController::serve_update(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  DirEntry& e = dir_.entry(b);
+  DirEntry& e = ctx_.homes.entry(b);
   // A writer racing its own private grant stays private.
   const bool own_private = e.state == DirState::Private && e.owner == msg.src;
   if (e.state == DirState::Private && !own_private) {
@@ -170,13 +170,13 @@ void UpdateHomeController::serve_update(const Message& msg) {
     return;
   }
 
-  memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
-  memory_.write_word(msg.addr, msg.payload2, msg.payload);
+  bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordWrite);
+  ctx_.homes.write_word(msg.addr, msg.payload2, msg.payload);
   ctx_.misses.on_store(msg.src, msg.addr);
   // The home orders update-protocol writes: this is the global-order point.
   for (obs::Observer* o : ctx_.observers)
     o->on_global_write(msg.src, msg.addr,
-                       memory_.read_word(mem::word_base(msg.addr), mem::kWordSize));
+                       ctx_.homes.read_word(mem::word_base(msg.addr), mem::kWordSize));
 
   if (own_private) {
     grant(msg, 0, true);
@@ -196,7 +196,7 @@ void UpdateHomeController::serve_update(const Message& msg) {
 
 void UpdateHomeController::serve_atomic(const Message& msg) {
   const mem::BlockAddr b = mem::block_of(msg.addr);
-  DirEntry& e = dir_.entry(b);
+  DirEntry& e = ctx_.homes.entry(b);
   if (e.state == DirState::Private) {
     // An atomic's requester demotes before issuing it, and FIFO delivery
     // puts its Writeback ahead of the AtomicReq -- but the grant that made
@@ -205,13 +205,13 @@ void UpdateHomeController::serve_atomic(const Message& msg) {
     return;
   }
 
-  const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordRead);
-  const std::uint64_t old = memory_.read_word(msg.addr, mem::kWordSize);
+  const Cycle ready = bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::WordRead);
+  const std::uint64_t old = ctx_.homes.read_word(msg.addr, mem::kWordSize);
   bool wrote = false;
   const std::uint64_t next = apply_atomic(msg.op, old, msg.payload, msg.payload2, wrote);
   for (obs::Observer* o : ctx_.observers) o->on_read(msg.src, msg.addr, old);
   if (wrote) {
-    memory_.write_word(msg.addr, mem::kWordSize, next);
+    ctx_.homes.write_word(msg.addr, mem::kWordSize, next);
     ctx_.misses.on_store(msg.src, msg.addr);
     for (obs::Observer* o : ctx_.observers) o->on_global_write(msg.src, msg.addr, next);
   }

@@ -21,7 +21,7 @@ unsigned WiHomeController::invalidate_sharers(const DirEntry& e, const Message& 
 }
 
 void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
-  DirEntry& e = dir_.entry(b);
+  DirEntry& e = ctx_.homes.entry(b);
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // The requester evicted its dirty copy and re-missed before the
     // writeback reached us; absorb the writeback first.
@@ -40,7 +40,7 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
     send_from(f);
     return;
   }
-  const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
+  const Cycle ready = bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
   Message d;
   d.type = MsgType::DataS;
   d.dst = req.src;
@@ -52,7 +52,7 @@ void WiHomeController::serve_gets(mem::BlockAddr b, const Message& req) {
 }
 
 void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
-  DirEntry& e = dir_.entry(b);
+  DirEntry& e = ctx_.homes.entry(b);
   if (e.state == DirState::Exclusive && e.owner == req.src) {
     // Writeback from the requester itself is still in flight (see
     // serve_gets); replay this request after absorbing it.
@@ -72,7 +72,7 @@ void WiHomeController::serve_getx(mem::BlockAddr b, const Message& req) {
 
   // Invalidate every other sharer; acks flow directly to the requester.
   const unsigned acks = e.state == DirState::Shared ? invalidate_sharers(e, req) : 0;
-  const Cycle ready = memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
+  const Cycle ready = bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockRead);
   Message d;
   d.type = MsgType::DataX;
   d.dst = req.src;
@@ -98,11 +98,11 @@ void WiHomeController::serve(const Message& req) {
       serve_getx(b, req);
       break;
     case MsgType::Upgrade: {
-      DirEntry& e = dir_.entry(b);
+      DirEntry& e = ctx_.homes.entry(b);
       if (e.state == DirState::Shared && e.has_sharer(req.src)) {
         const unsigned acks = invalidate_sharers(e, req);
         const Cycle ready =
-            memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
+            bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
         Message g;
         g.type = MsgType::UpgAck;
         g.dst = req.src;
@@ -141,9 +141,9 @@ void WiHomeController::on_message(const Message& msg) {
       break;
 
     case MsgType::SharedWB: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
-      memory_.write_block(b, msg.block);
-      DirEntry& e = dir_.entry(b);
+      bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::BlockWrite);
+      ctx_.homes.write_block(b, msg.block);
+      DirEntry& e = ctx_.homes.entry(b);
       e.state = DirState::Shared;
       e.sharers = 0;
       e.owner = kInvalidNode;
@@ -154,8 +154,8 @@ void WiHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::ExclDone: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
-      DirEntry& e = dir_.entry(b);
+      bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
+      DirEntry& e = ctx_.homes.entry(b);
       e.state = DirState::Exclusive;
       e.sharers = 0;
       e.owner = msg.src;
@@ -180,7 +180,7 @@ void WiHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::Writeback: {
-      DirEntry& e = dir_.entry(b);
+      DirEntry& e = ctx_.homes.entry(b);
       if ((e.state == DirState::Exclusive || e.state == DirState::Private) &&
           e.owner == msg.src) {
         e.state = DirState::Unowned;
@@ -192,8 +192,8 @@ void WiHomeController::on_message(const Message& msg) {
     }
 
     case MsgType::ReplHint: {
-      memory_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
-      DirEntry& e = dir_.entry(b);
+      bank_.book(ctx_.q.now(), mem::MemoryModule::AccessKind::DirOnly);
+      DirEntry& e = ctx_.homes.entry(b);
       e.remove_sharer(msg.src);
       if (e.state == DirState::Shared && e.sharers == 0) e.state = DirState::Unowned;
       break;

@@ -3,18 +3,48 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace {
 
 using namespace ccsim;
 using namespace ccsim::mem;
 
+constexpr BlockAddr kFirst = block_of(kSharedBase);
+
 TEST(Directory, EntriesStartUnowned) {
-  Directory d;
-  EXPECT_EQ(d.find(7), nullptr);
-  DirEntry& e = d.entry(7);
+  HomeTable d;
+  const BlockAddr b = kFirst + 7;
+  EXPECT_EQ(d.find(b), nullptr);
+  DirEntry& e = d.entry(b);
   EXPECT_EQ(e.state, DirState::Unowned);
   EXPECT_EQ(e.sharers, 0u);
-  EXPECT_NE(d.find(7), nullptr);
+  EXPECT_NE(d.find(b), nullptr);
+}
+
+TEST(Directory, EntriesAreWalkedInBlockOrder) {
+  HomeTable d;
+  const BlockAddr late = kFirst + BlockTable<HomeBlock>::kChunkBlocks + 3;
+  const BlockAddr early = kFirst + 5;
+  d.entry(late).owner = 2;
+  d.entry(early).owner = 1;
+  // Memory alone is not an entry.
+  const BlockAddr memory_only = kFirst + 9;
+  d.write_word(block_base(memory_only), 8, 42);
+  EXPECT_EQ(d.find(memory_only), nullptr);
+  EXPECT_EQ(d.read_word(block_base(memory_only), 8), 42u);
+
+  std::vector<std::pair<BlockAddr, NodeId>> walked;
+  d.for_each_entry(
+      [&](BlockAddr b, const DirEntry& e) { walked.emplace_back(b, e.owner); });
+  const std::vector<std::pair<BlockAddr, NodeId>> want{{early, 1}, {late, 2}};
+  EXPECT_EQ(walked, want);
+
+  // Past the last chunk: no entry, and memory reads as zero.
+  const BlockAddr beyond = kFirst + 10 * BlockTable<HomeBlock>::kChunkBlocks;
+  EXPECT_EQ(d.find(beyond), nullptr);
+  EXPECT_EQ(d.read_word(block_base(beyond), 8), 0u);
 }
 
 TEST(Directory, SharerBitOperations) {

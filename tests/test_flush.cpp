@@ -87,7 +87,7 @@ TEST_P(Flush, FlushedSharerStopsReceivingTraffic) {
     co_await c.fence();
   });
   m.run(ps);
-  const auto* e = m.node(2).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   ASSERT_NE(e, nullptr);
   EXPECT_FALSE(e->has_sharer(0));
   // No update was delivered to node 0 (nothing pending at finalize).

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -111,6 +112,93 @@ TEST(InvariantChecker, CorruptedCacheDataFailsTheAudit) {
     EXPECT_NE(msg.find("victim"), std::string::npos);
     EXPECT_NE(msg.find("0x63"), std::string::npos) << msg;  // the corrupted 99
     EXPECT_NE(msg.find("0x7"), std::string::npos) << msg;   // the real value
+  }
+}
+
+TEST(InvariantChecker, DataMismatchNamesTheCopyThatDiffers) {
+  // The report names the copy the audit compared: a dirty owner's cache,
+  // or one clean copy among several.
+  const auto report = [](bool clean_copy_on_node_1) -> std::string {
+    Machine m(checked(proto::Protocol::WI));
+    const Addr a = m.alloc().allocate_on(0, 8, "victim");
+    const Addr flag = m.alloc().allocate_on(0, 8, "flag");
+    std::vector<Machine::Program> ps;
+    ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+      co_await c.store(a, 7);
+      co_await c.fence();
+      if (!clean_copy_on_node_1) m.node(0).cache_ctrl().cache().write(a, 8, 99);
+      co_await c.store(flag, 1);
+    });
+    if (clean_copy_on_node_1)
+      ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+        co_await c.spin_until(flag, [](std::uint64_t v) { return v == 1; });
+        (void)co_await c.load(a);  // a clean copy, after the owner's fence
+        m.node(1).cache_ctrl().cache().write(a, 8, 99);
+      });
+    try {
+      m.run(ps);
+    } catch (const InvariantViolation& e) {
+      return e.what();
+    }
+    return "no violation";
+  };
+  const std::string owner = report(false);
+  EXPECT_NE(owner.find("\n  word 0x10000000 owner 0 cache holds 0x63, last "
+                       "globally-ordered value 0x7\n"),
+            std::string::npos)
+      << owner;
+  const std::string clean = report(true);
+  EXPECT_NE(clean.find("\n  word 0x10000000 node 1 cache holds 0x63, last "
+                       "globally-ordered value 0x7\n"),
+            std::string::npos)
+      << clean;
+}
+
+TEST(InvariantChecker, AuditReportsTheLowestViolatingBlockFirst) {
+  // Two corrupted blocks, the lower one homed at the higher node: the
+  // audit walks directory entries in block order, whatever their homes.
+  Machine m(checked(proto::Protocol::WI));
+  const Addr low = m.alloc().allocate_on(1, 8, "low");
+  const Addr high = m.alloc().allocate_on(0, 8, "high");
+  ASSERT_LT(mem::block_of(low), mem::block_of(high));
+  try {
+    m.run({[&](cpu::Cpu& c) -> sim::Task {
+      co_await c.store(low, 7);
+      co_await c.store(high, 8);
+      co_await c.fence();
+      m.node(0).cache_ctrl().cache().write(low, 8, 99);
+      m.node(0).cache_ctrl().cache().write(high, 8, 98);
+    }});
+    FAIL() << "expected an InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("data mismatch at quiescence"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(", \"low\", home 1)"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("\"high\""), std::string::npos) << msg;
+  }
+}
+
+TEST(InvariantChecker, CachedBlockWithoutAHomeEntryFailsTheAudit) {
+  // A valid line for a block no home transaction touched: only the
+  // audit's reverse pass (cache lines against home entries) sees it.
+  Machine m(checked(proto::Protocol::WI));
+  const Addr a = m.alloc().allocate_on(0, 8, "ghost");
+  const mem::BlockAddr b = mem::block_of(a);
+  try {
+    m.run({[&](cpu::Cpu& c) -> sim::Task {
+      co_await c.think(1);
+      mem::CacheLine& l = m.node(0).cache_ctrl().cache().set_for(b);
+      l.block = b;
+      l.state = mem::LineState::Shared;
+    }});
+    FAIL() << "expected an InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cached block with no directory entry at its home\n  node 0 "
+                       "holds Shared"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("  directory: (no entry)\n"), std::string::npos) << msg;
   }
 }
 

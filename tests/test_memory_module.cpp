@@ -1,4 +1,6 @@
-// Unit tests for the memory module: data storage and bank contention.
+// Unit tests for home memory: data storage in the home table and bank
+// contention in the memory module.
+#include "mem/directory.hpp"
 #include "mem/memory_module.hpp"
 
 #include <gtest/gtest.h>
@@ -9,13 +11,13 @@ using namespace ccsim;
 using namespace ccsim::mem;
 using AK = MemoryModule::AccessKind;
 
-TEST(MemoryModule, ZeroInitialized) {
-  MemoryModule m;
+TEST(HomeMemory, ZeroInitialized) {
+  HomeTable m;
   EXPECT_EQ(m.read_word(kSharedBase, 8), 0u);
 }
 
-TEST(MemoryModule, WordReadBack) {
-  MemoryModule m;
+TEST(HomeMemory, WordReadBack) {
+  HomeTable m;
   m.write_word(kSharedBase + 16, 8, 0xdeadbeefcafef00dull);
   EXPECT_EQ(m.read_word(kSharedBase + 16, 8), 0xdeadbeefcafef00dull);
   EXPECT_EQ(m.read_word(kSharedBase + 16, 4), 0xcafef00du);
@@ -23,8 +25,8 @@ TEST(MemoryModule, WordReadBack) {
   EXPECT_EQ(m.read_word(kSharedBase + 20, 1), 0x42u);
 }
 
-TEST(MemoryModule, BlockReadWriteRoundTrip) {
-  MemoryModule m;
+TEST(HomeMemory, BlockReadWriteRoundTrip) {
+  HomeTable m;
   std::array<std::byte, kBlockSize> blk{};
   blk[0] = std::byte{0xaa};
   blk[63] = std::byte{0x55};

@@ -144,8 +144,7 @@ TEST_P(RandomWorkload, DirectoryCacheAgreementAtQuiescence) {
     auto& cache = m.node(i).cache_ctrl().cache();
     for (unsigned w = 0; w < kWords; w += mem::kWordsPerBlock) {
       const mem::BlockAddr b = mem::block_of(base + w * mem::kWordSize);
-      const NodeId home = m.alloc().home_of(b);
-      const auto* e = m.node(home).home_ctrl().directory().find(b);
+      const auto* e = m.homes().find(b);
       if (const auto* line = cache.find(b)) {
         ASSERT_NE(e, nullptr);
         switch (line->state) {

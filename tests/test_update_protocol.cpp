@@ -70,7 +70,7 @@ TEST(UpdateProtocol, PuGrantsPrivateToSoleSharer) {
   auto* line = m.node(0).cache_ctrl().cache().find(mem::block_of(a));
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, LineState::PrivateDirty);
-  const auto* e = m.node(1).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   EXPECT_EQ(e->state, DirState::Private);
   EXPECT_EQ(e->owner, 0u);
   // Retained updates: after the first couple of writes everything is
@@ -108,7 +108,7 @@ TEST(UpdateProtocol, RecallReturnsPrivateDataToReader) {
   m.run(ps);
   EXPECT_EQ(got, 55u);
   // After the recall the block is back in update mode with both sharers.
-  const auto* e = m.node(2).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   EXPECT_EQ(e->state, DirState::Update);
   EXPECT_TRUE(e->has_sharer(0));
   EXPECT_TRUE(e->has_sharer(1));
@@ -139,7 +139,7 @@ TEST(UpdateProtocol, CompetitiveCounterDropsAfterThreshold) {
   EXPECT_EQ(m.node(0).cache_ctrl().cache().find(mem::block_of(a)), nullptr);
   EXPECT_EQ(m.counters().updates[stats::UpdateClass::Drop], 1u);
   // And the home pruned it: the remaining updates went nowhere.
-  const auto* e = m.node(2).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   EXPECT_FALSE(e->has_sharer(0));
 }
 

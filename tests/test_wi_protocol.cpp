@@ -28,7 +28,7 @@ TEST(WiProtocol, ReadFillsShared) {
   auto* line = m.node(0).cache_ctrl().cache().find(mem::block_of(a));
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, LineState::Shared);
-  const auto* e = m.node(1).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->state, DirState::Shared);
   EXPECT_TRUE(e->has_sharer(0));
@@ -44,7 +44,7 @@ TEST(WiProtocol, WriteObtainsModified) {
   auto* line = m.node(0).cache_ctrl().cache().find(mem::block_of(a));
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->state, LineState::Modified);
-  const auto* e = m.node(1).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   EXPECT_EQ(e->state, DirState::Exclusive);
   EXPECT_EQ(e->owner, 0u);
 }
@@ -107,11 +107,11 @@ TEST(WiProtocol, DirtyForwardingServesReaderFromOwner) {
   m.run(ps);
   EXPECT_EQ(got, 1234u);
   // After the forward the block is Shared at both and the home is clean.
-  const auto* e = m.node(2).home_ctrl().directory().find(mem::block_of(a));
+  const auto* e = m.homes().find(mem::block_of(a));
   EXPECT_EQ(e->state, DirState::Shared);
   EXPECT_TRUE(e->has_sharer(0));
   EXPECT_TRUE(e->has_sharer(1));
-  EXPECT_EQ(m.node(2).home_ctrl().memory().read_word(a, 8), 1234u);
+  EXPECT_EQ(m.homes().read_word(a, 8), 1234u);
 }
 
 TEST(WiProtocol, EvictionWritesBackDirtyData) {

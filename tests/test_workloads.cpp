@@ -28,7 +28,7 @@ MachineConfig cfg_of(Protocol p, unsigned n) {
 TEST(LockWorkload, LatencyMetricMatchesDefinition) {
   const auto r = harness::run_lock_experiment(cfg_of(Protocol::WI, 4),
                                               LockKind::Ticket,
-                                              {.total_acquires = 400, .hold_cycles = 50});
+                                              {.total_acquires = 400});
   // avg = cycles/acquires - hold (figure 8's definition).
   EXPECT_NEAR(r.avg_latency,
               static_cast<double>(r.cycles) / 400.0 - 50.0, 1e-9);
@@ -137,7 +137,7 @@ TEST(ReductionWorkload, ImbalanceVariantRunsAndVerifies) {
   for (ReductionKind k : {ReductionKind::Parallel, ReductionKind::Sequential}) {
     const auto r = harness::run_reduction_experiment(
         cfg_of(Protocol::CU, 8), k,
-        {.rounds = 30, .imbalance_max = 500, .seed = 3, .verify = true});
+        {.rounds = 30, .imbalance_max = 500, .seed = 3});
     EXPECT_GT(r.cycles, 0u);
   }
 }
