@@ -27,11 +27,11 @@ using namespace ccsim;
 /// deliberately excluded: a hybrid machine is meaningless without
 /// per-region Machine::bind_protocol calls choosing a protocol for each
 /// allocation, and the generic figure workloads make none (every region
-/// would silently run hybrid_default, duplicating a pure-protocol
-/// column under a misleading label). The dedicated abl_hybrid bench,
-/// which binds each construct's memory to its best protocol, is the one
-/// place hybrid machines are measured; series_label still handles
-/// Hybrid ("/h") for that bench's tables.
+/// would silently run WI, duplicating the WI column under a misleading
+/// label). The dedicated abl_hybrid bench, which binds each construct's
+/// memory to its best protocol, is the one place hybrid machines are
+/// measured; series_label still handles Hybrid ("/h") for that bench's
+/// tables.
 inline constexpr proto::Protocol kProtocols[] = {proto::Protocol::WI,
                                                  proto::Protocol::PU,
                                                  proto::Protocol::CU};

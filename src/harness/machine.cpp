@@ -34,7 +34,7 @@ std::vector<obs::Observer*> attached(std::initializer_list<obs::Observer*> all) 
 
 Machine::Machine(MachineConfig cfg)
     : cfg_(validated(cfg)),
-      trace_(cfg.trace || cfg.obs.sink || cfg.obs.check_invariants
+      trace_(cfg.obs.sink || cfg.obs.check_invariants
                  ? std::make_unique<obs::TraceLog>()
                  : nullptr),
       alloc_(cfg.nprocs),
@@ -66,11 +66,7 @@ Machine::Machine(MachineConfig cfg)
            trace_.get(),
            observers_,
            host_.get(),
-           cfg.consistency,
-           cfg.hybrid_default} {
-  if (checker_ && cfg_.protocol == proto::Protocol::Hybrid)
-    throw std::invalid_argument(
-        "check_invariants is not supported on Protocol::Hybrid");
+           cfg.consistency} {
   if (trace_) {
     if (cfg_.obs.sink) trace_->add_sink(cfg_.obs.sink);
     net_.set_trace(trace_.get());
@@ -90,7 +86,8 @@ Machine::Machine(MachineConfig cfg)
     checker_->set_alloc(&alloc_);
     checker_->set_homes(&homes_);
     for (NodeId i = 0; i < cfg_.nprocs; ++i)
-      checker_->attach_node(&nodes_[i]->cache_ctrl().cache());
+      nodes_[i]->cache_ctrl().for_each_cache(
+          [this, i](const mem::DataCache& c) { checker_->attach_node(i, c); });
     trace_->add_sink(checker_.get());
   }
 }
@@ -263,7 +260,9 @@ void Machine::poke(Addr addr, std::uint64_t value, std::size_t size) {
 void Machine::bind_protocol(Addr addr, std::size_t size, proto::Protocol p) {
   if (cfg_.protocol != proto::Protocol::Hybrid)
     throw std::logic_error("bind_protocol requires Protocol::Hybrid");
-  alloc_.set_domain(addr, size, proto::domain_of_protocol(p));
+  if (p == proto::Protocol::Hybrid)
+    throw std::invalid_argument("cannot bind a region to the Hybrid pseudo-protocol");
+  alloc_.set_domain(addr, size, static_cast<std::uint8_t>(p));
 }
 
 std::uint64_t Machine::peek(Addr addr, std::size_t size) {

@@ -14,7 +14,6 @@
 #include "obs/sampler.hpp"
 #include "obs/sharing.hpp"
 #include "obs/trace.hpp"
-#include "proto/hybrid.hpp"
 #include "proto/node.hpp"
 #include "proto/protocol.hpp"
 #include "sim/event_queue.hpp"
@@ -58,7 +57,7 @@ struct ObsConfig {
   /// How many blocks Machine::hot_blocks() reports.
   std::size_t hot_top_k = 16;
   /// Structured trace sink (JSONL, Perfetto, ...). Non-owning; must outlive
-  /// the Machine. Setting a sink enables tracing even if trace is false.
+  /// the Machine. Setting a sink enables tracing (see Machine::trace()).
   obs::TraceSink* sink = nullptr;
   /// Attach the cycle-accounting profiler: attribute every simulated cycle
   /// of every processor to a cost category and collect per-(construct,
@@ -68,9 +67,8 @@ struct ObsConfig {
   /// single-writable-copy and value-history invariants on the fly and audit
   /// directories, caches and data against shadow memory at the end of the
   /// run. Pure observer -- it schedules no events, so simulated cycle
-  /// counts are identical with it on or off. Not supported on
-  /// Protocol::Hybrid (three engines share each node, each with its own
-  /// cache; the checker audits one cache per node).
+  /// counts are identical with it on or off. Works under every protocol:
+  /// it audits every cache of every node, three per Hybrid node.
   bool check_invariants = false;
   /// Collect host-performance telemetry (obs/host_perf.hpp): simulator
   /// throughput, event-queue depth statistics, allocation counters, and
@@ -92,8 +90,6 @@ struct MachineConfig {
   std::size_t cache_bytes = 64 * 1024;  ///< direct-mapped, 64 B blocks
   unsigned cu_threshold = 4;  ///< competitive-update invalidation threshold
   net::Network::Params net{};
-  /// Hybrid machines: protocol for regions without a bind_protocol tag.
-  proto::Protocol hybrid_default = proto::Protocol::WI;
   /// Stop the run with BudgetError if simulated time exceeds this.
   Cycle max_cycles = 4'000'000'000ULL;
   /// Watchdog: throw DeadlockError if no processor completes a memory
@@ -101,9 +97,6 @@ struct MachineConfig {
   /// not count as progress, so the bound must exceed the longest think in
   /// the workload plus the worst contended-operation latency.
   Cycle watchdog_stall_cycles = 0;
-  /// Attach a structured trace (the last protocol events, kept as records
-  /// and formatted into deadlock reports).
-  bool trace = false;
   /// Memory consistency model (the paper's machine is release consistent).
   proto::Consistency consistency = proto::Consistency::Release;
   /// Observability: sampling, hot-block attribution, trace sinks.
@@ -114,8 +107,7 @@ class Machine {
 public:
   using Program = std::function<sim::Task(cpu::Cpu&)>;
 
-  /// Throws std::invalid_argument for an unsupported configuration
-  /// (nprocs outside [1, mem::kMaxNodes], the checker on Hybrid).
+  /// Throws std::invalid_argument for nprocs outside [1, mem::kMaxNodes].
   explicit Machine(MachineConfig cfg);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -132,9 +124,11 @@ public:
   void poke(Addr addr, std::uint64_t value, std::size_t size = mem::kWordSize);
 
   /// Hybrid machines (protocol == Protocol::Hybrid): bind every block of
-  /// [addr, addr+size) to a coherence protocol. Regions left unbound use
-  /// MachineConfig::hybrid_default. Must be called before the run and
-  /// never across a block already bound differently.
+  /// [addr, addr+size) to WI, PU or CU; the block's allocator domain
+  /// becomes that Protocol value. Regions left unbound run WI. Must be
+  /// called before the run and never across a block already bound
+  /// differently. Throws std::logic_error on a pure machine and
+  /// std::invalid_argument for Protocol::Hybrid.
   void bind_protocol(Addr addr, std::size_t size, proto::Protocol p);
 
   /// Read simulated shared memory after the run (home memory; for checking
@@ -150,8 +144,9 @@ public:
   [[nodiscard]] cpu::Cpu& cpu(NodeId i) { return procs_.at(i)->cpu(); }
   [[nodiscard]] proto::Node& node(NodeId i) { return *nodes_.at(i); }
   [[nodiscard]] unsigned nprocs() const noexcept { return cfg_.nprocs; }
-  /// The attached trace log, or nullptr when nothing switched tracing on
-  /// (MachineConfig::trace, a trace sink or the invariant checker).
+  /// The attached trace log (the last protocol events, kept as records and
+  /// formatted into deadlock reports), or nullptr when neither a trace
+  /// sink nor the invariant checker switched tracing on.
   [[nodiscard]] obs::TraceLog* trace() noexcept { return trace_.get(); }
 
   /// Per-interval counter samples (empty unless obs.sample_interval > 0).

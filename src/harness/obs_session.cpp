@@ -5,8 +5,6 @@
 #include "obs/perfetto_sink.hpp"
 #include "stats/report.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
@@ -137,11 +135,8 @@ void write_run_fields(stats::JsonWriter& w, const RunResult& r) {
   if (!r.hot.empty()) {
     w.key("hot_blocks").begin_array();
     for (const obs::HotBlock& row : r.hot) {
-      char addr[24];
-      std::snprintf(addr, sizeof addr, "0x%" PRIx64,
-                    static_cast<std::uint64_t>(row.base));
       w.begin_object();
-      w.key("addr").value(addr);
+      w.key("addr").value(stats::hex(row.base));
       if (!row.name.empty()) w.key("name").value(row.name);
       w.key("score").value(row.cell.score());
       w.key("misses").begin_object();
@@ -224,11 +219,8 @@ void write_sharing_fields(stats::JsonWriter& w, const obs::SharingReport& s) {
   w.end_object();
   w.key("blocks").begin_array();
   for (const obs::SharingReport::Row& row : s.blocks) {
-    char addr[24];
-    std::snprintf(addr, sizeof addr, "0x%" PRIx64,
-                  static_cast<std::uint64_t>(row.base));
     w.begin_object();
-    w.key("addr").value(addr);
+    w.key("addr").value(stats::hex(row.base));
     if (!row.name.empty()) w.key("name").value(row.name);
     w.key("pattern").value(std::string(obs::to_string(row.pattern)));
     w.key("accessors").value(static_cast<std::uint64_t>(row.accessors));

@@ -1,7 +1,8 @@
 #include "obs/invariants.hpp"
 
+#include "stats/json.hpp"
+
 #include <algorithm>
-#include <cstdio>
 
 namespace ccsim::obs {
 namespace {
@@ -30,12 +31,6 @@ namespace {
 
 [[nodiscard]] bool writable(mem::LineState s) noexcept {
   return s == mem::LineState::Modified || s == mem::LineState::PrivateDirty;
-}
-
-[[nodiscard]] std::string hexs(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 [[nodiscard]] std::string sharer_list(std::uint64_t mask) {
@@ -119,10 +114,10 @@ void InvariantChecker::on_read(NodeId reader, Addr addr, std::uint64_t word) {
   const unsigned w = mem::word_of(addr);
   if (known_value(r, w, word)) return;
   std::string what = "read of a value no write produced\n";
-  what += "  word " + hexs(mem::word_base(addr)) + " read as " + hexs(word) +
-          " by node " + std::to_string(reader);
+  what += "  word " + stats::hex(mem::word_base(addr)) + " read as " +
+          stats::hex(word) + " by node " + std::to_string(reader);
   if (r && (r->written >> w & 1u))
-    what += " (last globally-ordered value " + hexs(r->shadow[w]) + ")";
+    what += " (last globally-ordered value " + stats::hex(r->shadow[w]) + ")";
   else
     what += " (word never globally written)";
   fail(mem::block_of(addr), what);
@@ -130,9 +125,9 @@ void InvariantChecker::on_read(NodeId reader, Addr addr, std::uint64_t word) {
 
 void InvariantChecker::on_writable(NodeId node, mem::BlockAddr b) {
   ++checks_;
-  for (NodeId n = 0; n < caches_.size(); ++n) {
+  for (const auto& [n, c] : caches_) {
     if (n == node) continue;
-    const mem::CacheLine* l = caches_[n]->find(b);
+    const mem::CacheLine* l = c->find(b);
     if (l && writable(l->state))
       fail(b, "two writable copies (single-writer violation)\n  node " +
                   std::to_string(node) + " installed a writable copy while node " +
@@ -142,12 +137,13 @@ void InvariantChecker::on_writable(NodeId node, mem::BlockAddr b) {
 
 void InvariantChecker::holders(mem::BlockAddr b, Holders& out) const {
   out.clear();
-  for (NodeId n = 0; n < caches_.size(); ++n)
-    if (const mem::CacheLine* l = caches_[n]->find(b)) out.emplace_back(n, l->state);
+  for (const NodeCache& nc : caches_)
+    if (const mem::CacheLine* l = nc.cache->find(b)) out.push_back({nc, l->state});
 }
 
 std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
-  std::string s = "  block " + hexs(b) + " (base " + hexs(mem::block_base(b));
+  std::string s =
+      "  block " + stats::hex(b) + " (base " + stats::hex(mem::block_base(b));
   if (alloc_) {
     if (std::string name = alloc_->name_of(mem::block_base(b)); !name.empty())
       s += ", \"" + name + "\"";
@@ -169,11 +165,11 @@ std::string InvariantChecker::describe_block(mem::BlockAddr b) const {
   Holders hs;
   holders(b, hs);
   if (hs.empty()) s += " (none)";
-  for (const auto& [n, st] : hs) {
+  for (const Holder& h : hs) {
     s += ' ';
-    s += std::to_string(n);
+    s += std::to_string(h.node);
     s += ':';
-    s += state_name(st);
+    s += state_name(h.state);
   }
   s += '\n';
   if (const BlockRecord* r = blocks_.find(b); r && !r->recent.empty()) {
@@ -198,7 +194,7 @@ void InvariantChecker::audit_entry(mem::BlockAddr b, const mem::DirEntry& e,
                                    const Holders& hs) {
   ++checks_;
   std::uint64_t held = 0;
-  for (const auto& [n, st] : hs) held |= std::uint64_t{1} << n;
+  for (const Holder& h : hs) held |= std::uint64_t{1} << h.node;
 
   const auto require = [&](bool ok, const char* what) {
     if (!ok)
@@ -206,7 +202,7 @@ void InvariantChecker::audit_entry(mem::BlockAddr b, const mem::DirEntry& e,
   };
   const auto all_in_state = [&](mem::LineState want) {
     return std::all_of(hs.begin(), hs.end(),
-                       [&](const auto& p) { return p.second == want; });
+                       [&](const Holder& h) { return h.state == want; });
   };
 
   switch (e.state) {
@@ -252,21 +248,22 @@ void InvariantChecker::audit_data(mem::BlockAddr b, const mem::DirEntry& e,
     // `where()` names the copy; it runs only to build a report.
     const auto check = [&](std::uint64_t got, const auto& where) {
       if (got != expect)
-        fail(b, "data mismatch at quiescence\n  word " + hexs(wa) + " " +
-                    where() + " holds " + hexs(got) +
-                    ", last globally-ordered value " + hexs(expect));
+        fail(b, "data mismatch at quiescence\n  word " + stats::hex(wa) + " " +
+                    where() + " holds " + stats::hex(got) +
+                    ", last globally-ordered value " + stats::hex(expect));
     };
     if (dirty) {
       // The owner's cache is the authoritative copy; home memory is stale.
-      if (e.owner != kInvalidNode && caches_[e.owner]->find(b))
-        check(caches_[e.owner]->read(wa, mem::kWordSize),
-              [&] { return "owner " + std::to_string(e.owner) + " cache"; });
+      // audit_entry has established that the owner is the only holder.
+      for (const Holder& h : hs)
+        check(h.cache->read(wa, mem::kWordSize),
+              [&] { return "owner " + std::to_string(h.node) + " cache"; });
     } else {
       check(homes_->read_word(wa, mem::kWordSize),
             [] { return std::string("home memory"); });
-      for (const auto& [n, st] : hs) {
-        const std::uint64_t got = caches_[n]->read(wa, mem::kWordSize);
-        if (st == mem::LineState::ValidU) {
+      for (const Holder& h : hs) {
+        const std::uint64_t got = h.cache->read(wa, mem::kWordSize);
+        if (h.state == mem::LineState::ValidU) {
           // A write-through update protocol can legally strand a racing
           // writer's copy at a superseded value: the writer applies its
           // store at issue, the home orders it BEFORE a concurrent write
@@ -276,14 +273,14 @@ void InvariantChecker::audit_data(mem::BlockAddr b, const mem::DirEntry& e,
           // memory is therefore not an invariant for ValidU copies; every
           // word must still be a value some write actually produced.
           if (!known_value(r, w, got))
-            fail(b, "data fabrication at quiescence\n  word " + hexs(wa) +
-                        " node " + std::to_string(n) + " cache holds " +
-                        hexs(got) + ", which no write produced (memory holds " +
-                        hexs(expect) + ")");
+            fail(b, "data fabrication at quiescence\n  word " + stats::hex(wa) +
+                        " node " + std::to_string(h.node) + " cache holds " +
+                        stats::hex(got) + ", which no write produced (memory holds " +
+                        stats::hex(expect) + ")");
         } else {
           // A clean invalidation-protocol copy has no racing-writer excuse:
           // it was filled from memory and invalidated on every write.
-          check(got, [n = n] { return "node " + std::to_string(n) + " cache"; });
+          check(got, [&] { return "node " + std::to_string(h.node) + " cache"; });
         }
       }
     }
@@ -299,10 +296,9 @@ void InvariantChecker::final_audit() {
   });
   // Reverse direction: a valid cache line must be backed by a home entry
   // (the forward pass then audited its state against the entry).
-  for (NodeId n = 0; n < caches_.size(); ++n) {
-    const mem::DataCache& c = *caches_[n];
-    for (std::size_t i = 0; i < c.num_sets(); ++i) {
-      const mem::CacheLine& l = c.line_at(i);
+  for (const auto& [n, c] : caches_) {
+    for (std::size_t i = 0; i < c->num_sets(); ++i) {
+      const mem::CacheLine& l = c->line_at(i);
       if (!l.valid()) continue;
       ++checks_;
       if (!homes_->find(l.block))

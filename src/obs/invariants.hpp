@@ -10,14 +10,15 @@
 // What is checked, and why exactly this set:
 //
 //  - Single writer (continuous). Whenever a cache installs a writable copy
-//    (WI Modified, PU PrivateDirty) the checker asserts no other cache
-//    holds a writable copy of the same block. Note the classic textbook
-//    form -- "one writer OR n readers" -- is deliberately NOT asserted
-//    instantaneously: under release consistency a WI home grants an
-//    upgrade while its invalidations are still in flight, so a Modified
-//    copy legitimately coexists with stale Shared copies for a bounded
-//    window. Two *writable* copies are never legal at any instant, under
-//    any of the paper's protocols.
+//    (WI Modified, PU PrivateDirty) the checker asserts no other node's
+//    cache holds a writable copy of the same block. (The checker audits
+//    caches, not nodes: a Hybrid node attaches one per engine.) Note the
+//    classic textbook form -- "one writer OR n readers" -- is deliberately
+//    NOT asserted instantaneously: under release consistency a WI home
+//    grants an upgrade while its invalidations are still in flight, so a
+//    Modified copy legitimately coexists with stale Shared copies for a
+//    bounded window. Two *writable* copies are never legal at any instant,
+//    under any of the paper's protocols.
 //
 //  - Value integrity (continuous). Every globally-ordered write deposits
 //    the resulting word into a shadow memory and a bounded per-word value
@@ -66,7 +67,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ccsim::obs {
@@ -100,9 +100,12 @@ public:
   /// quiescence (not owned; must outlive the checker).
   void set_homes(const mem::HomeTable* h) noexcept { homes_ = h; }
 
-  /// Register one node's cache (not owned; must outlive the checker). Call
-  /// once per node, in node-id order, before the run.
-  void attach_node(mem::DataCache* cache) { caches_.push_back(cache); }
+  /// Register one of `node`'s caches (not owned; must outlive the checker).
+  /// Call once per cache before the run, in node-id order: once for a WI,
+  /// PU or CU node, once per engine (WI, PU, CU) for a Hybrid node.
+  void attach_node(NodeId node, const mem::DataCache& cache) {
+    caches_.push_back({node, &cache});
+  }
 
   // --- observer hooks (all synchronous, all may throw) -------------------
 
@@ -121,7 +124,7 @@ public:
   /// A load completed: checks membership of `word` in the word's history.
   void on_read(NodeId reader, Addr addr, std::uint64_t word) override;
 
-  /// Checks single-writer against every other cache.
+  /// Checks single-writer against every other node's caches.
   void on_writable(NodeId node, mem::BlockAddr b) override;
 
   /// Machine::poke wrote simulated memory before the run.
@@ -153,7 +156,16 @@ private:
     std::uint8_t written = 0;  ///< bit w: word w has a globally-ordered value
     std::array<History, mem::kWordsPerBlock> history;
   };
-  using Holders = std::vector<std::pair<NodeId, mem::LineState>>;
+  /// An attached cache and the node it belongs to.
+  struct NodeCache {
+    NodeId node;
+    const mem::DataCache* cache;
+  };
+  /// An attached cache holding a block, and the block's state there.
+  struct Holder : NodeCache {
+    mem::LineState state;
+  };
+  using Holders = std::vector<Holder>;
 
   /// A globally-ordered value of the word at `addr` (a write or a poke).
   void deposit(Addr addr, std::uint64_t word);
@@ -176,7 +188,7 @@ private:
   std::size_t history_depth_;
   const mem::SharedAllocator* alloc_ = nullptr;
   const mem::HomeTable* homes_ = nullptr;
-  std::vector<mem::DataCache*> caches_;
+  std::vector<NodeCache> caches_;
   mem::BlockTable<BlockRecord> blocks_;
   std::uint64_t checks_ = 0;
 };

@@ -2,8 +2,6 @@
 
 #include "stats/json.hpp"
 
-#include <cstdio>
-
 namespace ccsim::obs {
 
 void JsonlSink::begin_run(const std::string& label) {
@@ -20,9 +18,7 @@ void JsonlSink::on_event(const TraceEvent& e) {
   if (e.node != kInvalidNode) w.key("node").value(e.node);
   if (e.peer != kInvalidNode) w.key("peer").value(e.peer);
   w.key("msg").value(net::to_string(e.msg));
-  char addr[24];
-  std::snprintf(addr, sizeof addr, "0x%llx", static_cast<unsigned long long>(e.addr));
-  w.key("addr").value(addr);
+  w.key("addr").value(stats::hex(e.addr));
   if (e.payload != 0) w.key("pay").value(e.payload);
   if (e.flow != 0) w.key("flow").value(e.flow);
   w.end_object();

@@ -17,12 +17,6 @@ std::string u64(std::uint64_t v) {
   return buf;
 }
 
-std::string hex(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%" PRIx64, v);
-  return buf;
-}
-
 /// `"pid":P,"tid":N,"ts":T` -- the track-and-time triple of every record.
 std::string where(int pid, NodeId tid, Cycle ts) {
   return "\"pid\":" + u64(static_cast<std::uint64_t>(pid)) +
@@ -109,7 +103,7 @@ void PerfettoSink::flush_run() {
     const bool send = e.kind == EventKind::MsgSend;
     const std::string head =
         "{\"name\":\"" + name + "\",\"cat\":\"" + std::string(to_string(e.cat)) + "\",";
-    std::string args = ",\"args\":{\"addr\":\"" + hex(e.addr) + "\",\"" +
+    std::string args = ",\"args\":{\"addr\":\"" + stats::hex(e.addr) + "\",\"" +
                        (send ? "to" : "from") + "\":" + u64(e.peer);
     if (e.payload != 0) args += ",\"pay\":" + u64(e.payload);
     args += "}}";

@@ -33,14 +33,7 @@ void IntervalSampler::finish(Cycle end) {
   // classification) -- goes into one final sample.
   const Cycle begin = next_boundary_ - series_.interval;
   const stats::Counters d = stats::delta(live_, last_);
-  const bool moved = d.misses.total() + d.misses.exclusive_requests +
-                         d.updates.total() + d.net.messages + d.net.local +
-                         d.net.flits + d.net.hops + d.mem.shared_reads +
-                         d.mem.shared_writes + d.mem.read_hits +
-                         d.mem.write_hits + d.mem.atomics +
-                         d.mem.write_buffer_stalls + d.mem.fence_stall_cycles !=
-                     0;
-  if (end > begin || moved) {
+  if (end > begin || d != stats::Counters{}) {
     Sample s;
     s.begin = begin;
     s.end = end;

@@ -3,40 +3,23 @@
 #include "sim/check.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ccsim::proto {
 
-Protocol domain_protocol(std::uint8_t domain, Protocol fallback) {
-  switch (domain) {
-    case 1: return Protocol::WI;
-    case 2: return Protocol::PU;
-    case 3: return Protocol::CU;
-    default: return fallback;
-  }
-}
-
-std::uint8_t domain_of_protocol(Protocol p) {
-  switch (p) {
-    case Protocol::WI: return 1;
-    case Protocol::PU: return 2;
-    case Protocol::CU: return 3;
-    case Protocol::Hybrid: break;
-  }
-  CCSIM_CHECK(false, "cannot bind a region to the Hybrid pseudo-protocol");
-  return 0;
-}
+static_assert(static_cast<int>(Protocol::WI) == 0 &&
+                  static_cast<int>(Protocol::PU) == 1 &&
+                  static_cast<int>(Protocol::CU) == 2,
+              "a node's engines are indexed by a block's Protocol");
 
 namespace {
-std::size_t engine_index(Protocol p) {
-  switch (p) {
-    case Protocol::WI: return 0;
-    case Protocol::PU: return 1;
-    case Protocol::CU: return 2;
-    case Protocol::Hybrid: break;
-  }
-  CCSIM_CHECK(false, "Hybrid pseudo-protocol has no engine of its own");
-  return 0;
+/// The index of the engine serving `b`: its domain, which
+/// Machine::bind_protocol sets to the block's Protocol (unbound: 0, WI).
+std::size_t engine_of(const ProtocolContext& ctx, mem::BlockAddr b) {
+  const unsigned d = ctx.alloc.domain_of(b);
+  CCSIM_CHECK(d <= static_cast<unsigned>(Protocol::CU),
+              "block=%#llx: domain %u names no WI, PU or CU engine",
+              static_cast<unsigned long long>(b), d);
+  return d;
 }
 } // namespace
 
@@ -47,24 +30,25 @@ std::size_t engine_index(Protocol p) {
 HybridCacheController::HybridCacheController(NodeId id, ProtocolContext& ctx,
                                              std::size_t cache_bytes)
     : CacheController(id, ctx) {
-  engines_[0] = make_cache_controller(Protocol::WI, id, ctx, cache_bytes);
-  engines_[1] = make_cache_controller(Protocol::PU, id, ctx, cache_bytes);
-  engines_[2] = make_cache_controller(Protocol::CU, id, ctx, cache_bytes);
+  for (std::size_t i = 0; i < engines_.size(); ++i)
+    engines_[i] = make_cache_controller(static_cast<Protocol>(i), id, ctx, cache_bytes);
 }
 
-CacheController& HybridCacheController::engine_for(Addr a) {
-  const Protocol p = domain_protocol(ctx_.alloc.domain_of(mem::block_of(a)),
-                                     ctx_.hybrid_default);
-  return *engines_[engine_index(p)];
+CacheController& HybridCacheController::engine_for(mem::BlockAddr b) {
+  return *engines_[engine_of(ctx_, b)];
 }
 
 mem::DataCache& HybridCacheController::cache() noexcept {
-  return engines_[engine_index(ctx_.hybrid_default)]->cache();
+  return engines_[static_cast<std::size_t>(Protocol::WI)]->cache();
 }
 
 mem::DataCache& HybridCacheController::cache_for(mem::BlockAddr b) noexcept {
-  const Protocol p = domain_protocol(ctx_.alloc.domain_of(b), ctx_.hybrid_default);
-  return engines_[engine_index(p)]->cache_for(b);
+  return engine_for(b).cache_for(b);
+}
+
+void HybridCacheController::for_each_cache(
+    const std::function<void(const mem::DataCache&)>& f) {
+  for (const auto& e : engines_) e->for_each_cache(f);
 }
 
 WriteBufferUse HybridCacheController::write_buffer_use() const {
@@ -78,17 +62,17 @@ WriteBufferUse HybridCacheController::write_buffer_use() const {
 }
 
 void HybridCacheController::cpu_load(Addr a, std::size_t size, LoadCallback done) {
-  engine_for(a).cpu_load(a, size, std::move(done));
+  engine_for(mem::block_of(a)).cpu_load(a, size, std::move(done));
 }
 
 void HybridCacheController::cpu_store(Addr a, std::size_t size, std::uint64_t v,
                                       DoneCallback done) {
-  engine_for(a).cpu_store(a, size, v, std::move(done));
+  engine_for(mem::block_of(a)).cpu_store(a, size, v, std::move(done));
 }
 
 void HybridCacheController::cpu_atomic(net::AtomicOp op, Addr a, std::uint64_t v1,
                                        std::uint64_t v2, LoadCallback done) {
-  engine_for(a).cpu_atomic(op, a, v1, v2, std::move(done));
+  engine_for(mem::block_of(a)).cpu_atomic(op, a, v1, v2, std::move(done));
 }
 
 void HybridCacheController::cpu_fence(DoneCallback done) {
@@ -101,11 +85,11 @@ void HybridCacheController::cpu_fence(DoneCallback done) {
 }
 
 void HybridCacheController::cpu_flush(Addr a, DoneCallback done) {
-  engine_for(a).cpu_flush(a, std::move(done));
+  engine_for(mem::block_of(a)).cpu_flush(a, std::move(done));
 }
 
 void HybridCacheController::on_message(const net::Message& msg) {
-  engine_for(msg.addr).on_message(msg);
+  engine_for(mem::block_of(msg.addr)).on_message(msg);
 }
 
 // ---------------------------------------------------------------------
@@ -114,19 +98,16 @@ void HybridCacheController::on_message(const net::Message& msg) {
 
 HybridHomeController::HybridHomeController(NodeId id, ProtocolContext& ctx)
     : HomeController(id, ctx) {
-  engines_[0] = make_home_controller(Protocol::WI, id, ctx);
-  engines_[1] = make_home_controller(Protocol::PU, id, ctx);
-  engines_[2] = make_home_controller(Protocol::CU, id, ctx);
+  for (std::size_t i = 0; i < engines_.size(); ++i)
+    engines_[i] = make_home_controller(static_cast<Protocol>(i), id, ctx);
 }
 
-HomeController& HybridHomeController::engine_for(Addr a) {
-  const Protocol p = domain_protocol(ctx_.alloc.domain_of(mem::block_of(a)),
-                                     ctx_.hybrid_default);
-  return *engines_[engine_index(p)];
+HomeController& HybridHomeController::engine_for(mem::BlockAddr b) {
+  return *engines_[engine_of(ctx_, b)];
 }
 
 void HybridHomeController::on_message(const net::Message& msg) {
-  engine_for(msg.addr).on_message(msg);
+  engine_for(mem::block_of(msg.addr)).on_message(msg);
 }
 
 } // namespace ccsim::proto

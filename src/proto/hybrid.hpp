@@ -6,7 +6,9 @@
 // both implementation AND protocol. The hybrid controllers make that
 // executable: every node runs a WI engine and the two update engines side
 // by side, and each shared block is served by the engine its domain tag
-// selects (Machine::bind_protocol / SharedAllocator::set_domain).
+// selects. Machine::bind_protocol tags a block with its Protocol value
+// (SharedAllocator::set_domain), so the tag indexes the engines directly;
+// an unbound block keeps tag 0 and runs WI.
 //
 // Blocks of different domains are disjoint state: each engine keeps its
 // own cache array, write buffer and memory bank (a "protocol-split cache";
@@ -14,7 +16,8 @@
 // directory entry and memory sit in the machine's one mem::HomeTable,
 // where only its domain's engine at its home touches them. Fences
 // synchronize across all engines, preserving release semantics for
-// programs that mix domains.
+// programs that mix domains. The invariant checker audits all three
+// caches of every node (CacheController::for_each_cache).
 #pragma once
 
 #include "proto/protocol.hpp"
@@ -23,13 +26,6 @@
 #include <memory>
 
 namespace ccsim::proto {
-
-/// Maps a block's allocator domain id to the protocol serving it.
-/// Domain 0 = the machine's hybrid_default; domains 1..3 = WI/PU/CU.
-[[nodiscard]] Protocol domain_protocol(std::uint8_t domain, Protocol fallback);
-
-/// Domain id for binding a region to a protocol (see above).
-[[nodiscard]] std::uint8_t domain_of_protocol(Protocol p);
 
 class HybridCacheController final : public CacheController {
 public:
@@ -45,6 +41,7 @@ public:
 
   [[nodiscard]] mem::DataCache& cache() noexcept override;
   [[nodiscard]] mem::DataCache& cache_for(mem::BlockAddr b) noexcept override;
+  void for_each_cache(const std::function<void(const mem::DataCache&)>& f) override;
   [[nodiscard]] WriteBufferUse write_buffer_use() const override;
 
   [[nodiscard]] CacheDebug debug_state() const override {
@@ -60,7 +57,7 @@ public:
   }
 
 private:
-  [[nodiscard]] CacheController& engine_for(Addr a);
+  [[nodiscard]] CacheController& engine_for(mem::BlockAddr b);
 
   std::array<std::unique_ptr<CacheController>, 3> engines_;  ///< WI, PU, CU
 };
@@ -76,7 +73,7 @@ protected:
   void serve(const net::Message&) override {}
 
 private:
-  [[nodiscard]] HomeController& engine_for(Addr a);
+  [[nodiscard]] HomeController& engine_for(mem::BlockAddr b);
 
   std::array<std::unique_ptr<HomeController>, 3> engines_;  ///< WI, PU, CU
 };

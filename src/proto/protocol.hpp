@@ -36,8 +36,9 @@ enum class Protocol : std::uint8_t {
   CU,  ///< competitive update (PU + per-block counters, threshold 4)
   /// Per-region protocol binding on one machine (the paper's
   /// programmable-protocol-processor scenario, FLASH/Typhoon style):
-  /// shared regions are tagged WI/PU/CU via Machine::bind_protocol and
-  /// each node runs all three engines side by side.
+  /// shared regions are tagged WI/PU/CU via Machine::bind_protocol
+  /// (unbound regions run WI) and each node runs all three engines side
+  /// by side.
   Hybrid,
 };
 
@@ -80,8 +81,6 @@ struct ProtocolContext {
   /// to it; simulated results are identical with or without it.
   obs::HostPerfCollector* host = nullptr;
   Consistency consistency = Consistency::Release;
-  /// Hybrid machines: protocol for blocks whose domain id is 0.
-  Protocol hybrid_default = Protocol::WI;
 
   /// Trace a controller at `node` handling `msg`.
   void trace_recv(obs::TraceCat cat, NodeId node, const net::Message& msg) const {
@@ -133,11 +132,16 @@ public:
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   /// The node's cache. A hybrid node has one per protocol engine and
-  /// returns the one serving its default domain.
+  /// returns its WI engine's, which serves unbound regions.
   [[nodiscard]] virtual mem::DataCache& cache() noexcept = 0;
   /// The cache that holds (or would hold) `b`.
   [[nodiscard]] virtual mem::DataCache& cache_for(mem::BlockAddr) noexcept {
     return cache();
+  }
+  /// Call `f` on every cache the controller holds: its one cache, or on a
+  /// hybrid node each engine's, in WI, PU, CU order.
+  virtual void for_each_cache(const std::function<void(const mem::DataCache&)>& f) {
+    f(cache());
   }
   [[nodiscard]] virtual WriteBufferUse write_buffer_use() const = 0;
 

@@ -55,6 +55,7 @@ struct MissCounts {
   /// Cold + true sharing (the paper's "useful" misses).
   [[nodiscard]] std::uint64_t useful() const noexcept;
   [[nodiscard]] std::uint64_t useless() const noexcept { return total() - useful(); }
+  bool operator==(const MissCounts&) const = default;
 };
 
 struct UpdateCounts {
@@ -67,6 +68,7 @@ struct UpdateCounts {
     return (*this)[UpdateClass::TrueSharing];
   }
   [[nodiscard]] std::uint64_t useless() const noexcept { return total() - useful(); }
+  bool operator==(const UpdateCounts&) const = default;
 };
 
 struct NetCounters {
@@ -81,6 +83,7 @@ struct NetCounters {
   [[nodiscard]] std::uint64_t of(net::MsgType t) const {
     return by_type[static_cast<std::size_t>(t)];
   }
+  bool operator==(const NetCounters&) const = default;
 };
 
 struct MemCounters {
@@ -91,6 +94,7 @@ struct MemCounters {
   std::uint64_t atomics = 0;
   std::uint64_t write_buffer_stalls = 0;  ///< cycles lost to a full write buffer
   std::uint64_t fence_stall_cycles = 0;   ///< cycles waiting for acks at releases
+  bool operator==(const MemCounters&) const = default;
 };
 
 /// Everything one simulation run accumulates.
@@ -99,6 +103,7 @@ struct Counters {
   UpdateCounts updates;
   NetCounters net;
   MemCounters mem;
+  bool operator==(const Counters&) const = default;
 };
 
 /// Field-wise `now - prev`. All counters are monotone over a run, so this

@@ -29,6 +29,12 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%" PRIx64, v);
+  return buf;
+}
+
 void JsonWriter::comma() {
   if (pending_key_) {
     pending_key_ = false;

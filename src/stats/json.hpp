@@ -20,6 +20,10 @@ namespace ccsim::stats {
 /// characters); no surrounding quotes.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// `v` in lowercase hex with a `0x` prefix ("0x1000003f"): how reports,
+/// traces and JSON documents print addresses and values.
+[[nodiscard]] std::string hex(std::uint64_t v);
+
 class JsonWriter {
 public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}

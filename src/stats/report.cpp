@@ -1,5 +1,6 @@
 #include "stats/report.hpp"
 
+#include "stats/json.hpp"
 #include "stats/table.hpp"
 
 #include <algorithm>
@@ -143,11 +144,7 @@ void print_sharing(std::ostream& os, const obs::SharingReport& r,
   const std::size_t shown = std::min(max_rows, r.blocks.size());
   for (std::size_t i = 0; i < shown; ++i) {
     const obs::SharingReport::Row& row = r.blocks[i];
-    char addr[32] = "";
-    if (row.name.empty())
-      std::snprintf(addr, sizeof addr, "0x%llx",
-                    static_cast<unsigned long long>(row.base));
-    blocks.add_row({row.name.empty() ? std::string(addr) : row.name,
+    blocks.add_row({row.name.empty() ? hex(row.base) : row.name,
                     std::string(obs::to_string(row.pattern)),
                     Table::num(static_cast<std::uint64_t>(row.accessors)),
                     Table::num(row.reads), Table::num(row.writes),

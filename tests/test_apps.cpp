@@ -119,21 +119,24 @@ TEST_P(Apps, MatmulWithCentralBarrier) {
 }
 
 TEST(AppsHybrid, KernelsRunOnHybridMachines) {
-  // Kernels accept any machine protocol, including Hybrid (all regions on
-  // the default domain): oracles must still hold.
-  for (Protocol def : {Protocol::WI, Protocol::PU}) {
-    (void)def;
-  }
+  // Kernels accept any machine protocol, including Hybrid (all regions
+  // unbound, so WI): oracles and the invariant checker must still hold.
+  harness::MachineConfig hybrid = machine(Protocol::Hybrid, 4);
+  hybrid.obs.check_invariants = true;
+  const auto expect_checked = [](const apps::KernelResult& r) {
+    EXPECT_TRUE(r.correct);
+    EXPECT_GT(r.invariant_checks, 0u);
+  };
   apps::SorParams sor;
   sor.sweeps = 8;
   sor.cells_per_proc = 6;
-  EXPECT_TRUE(apps::run_sor(machine(Protocol::Hybrid, 4), sor).correct);
+  expect_checked(apps::run_sor(hybrid, sor));
   apps::PipelineParams pipe;
   pipe.items = 30;
-  EXPECT_TRUE(apps::run_pipeline(machine(Protocol::Hybrid, 4), pipe).correct);
+  expect_checked(apps::run_pipeline(hybrid, pipe));
   apps::MatmulParams mat;
   mat.dim = 6;
-  EXPECT_TRUE(apps::run_matmul(machine(Protocol::Hybrid, 4), mat).correct);
+  expect_checked(apps::run_matmul(hybrid, mat));
 }
 
 TEST(AppsObs, KernelResultCarriesTheProfile) {

@@ -13,11 +13,11 @@ using harness::Machine;
 using harness::MachineConfig;
 using proto::Protocol;
 
-MachineConfig hybrid(unsigned n, Protocol def = Protocol::WI) {
+MachineConfig hybrid(unsigned n) {
   MachineConfig c;
   c.protocol = Protocol::Hybrid;
-  c.hybrid_default = def;
   c.nprocs = n;
+  c.obs.check_invariants = true;  // audits every engine's cache
   return c;
 }
 
@@ -40,6 +40,29 @@ TEST(Hybrid, BindRequiresHybridMachine) {
   Machine m(cfg);
   const Addr a = m.alloc().allocate_on(0, 8);
   EXPECT_THROW(m.bind_protocol(a, 8, Protocol::PU), std::logic_error);
+}
+
+TEST(Hybrid, BindToTheHybridPseudoProtocolThrows) {
+  Machine m(hybrid(2));
+  const Addr a = m.alloc().allocate_on(0, 8);
+  m.bind_protocol(a, 8, Protocol::PU);
+  EXPECT_THROW(m.bind_protocol(a, 8, Protocol::Hybrid), std::invalid_argument);
+  // The allocator is untouched: the block keeps its PU binding.
+  EXPECT_EQ(m.alloc().domain_of(mem::block_of(a)),
+            static_cast<std::uint8_t>(Protocol::PU));
+}
+
+TEST(Hybrid, DomainNamingNoEngineAborts) {
+  // A domain written past bind_protocol names no engine: the controllers
+  // stop with a check instead of indexing past their engines.
+  EXPECT_DEATH(
+      {
+        Machine m(hybrid(2));
+        const Addr a = m.alloc().allocate_on(0, 8);
+        m.alloc().set_domain(a, 8, 3);
+        m.run({[&](cpu::Cpu& c) -> sim::Task { (void)co_await c.load(a); }});
+      },
+      "domain 3 names no WI, PU or CU engine");
 }
 
 TEST(Hybrid, MixedDomainsProduceMixedTrafficSignatures) {
@@ -71,9 +94,9 @@ TEST(Hybrid, MixedDomainsProduceMixedTrafficSignatures) {
   EXPECT_GE(m.counters().updates[stats::UpdateClass::TrueSharing], 4u);
 }
 
-TEST(Hybrid, DefaultDomainUsesHybridDefault) {
-  Machine m(hybrid(2, Protocol::PU));
-  const Addr a = m.alloc().allocate_on(1, 8);  // unbound -> PU
+TEST(Hybrid, UnboundRegionsRunWi) {
+  Machine m(hybrid(2));
+  const Addr a = m.alloc().allocate_on(1, 8);  // unbound -> WI
   std::vector<Machine::Program> ps;
   ps.push_back([&](cpu::Cpu& c) -> sim::Task {
     (void)co_await c.load(a);
@@ -85,8 +108,8 @@ TEST(Hybrid, DefaultDomainUsesHybridDefault) {
     co_await c.fence();
   });
   m.run(ps);
-  EXPECT_GT(m.counters().net.of(net::MsgType::Update), 0u);
-  EXPECT_EQ(m.counters().net.of(net::MsgType::Inval), 0u);
+  EXPECT_GT(m.counters().net.of(net::MsgType::Inval), 0u);
+  EXPECT_EQ(m.counters().net.of(net::MsgType::Update), 0u);
 }
 
 TEST(Hybrid, ConstructsRunCorrectlyInTheirDomains) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -222,9 +223,52 @@ TEST(InvariantChecker, CorruptedValueIsCaughtAtTheReadingProcessor) {
   }
 }
 
-TEST(InvariantChecker, HybridIsRejected) {
-  MachineConfig cfg = checked(proto::Protocol::Hybrid);
-  EXPECT_THROW({ Machine m(cfg); }, std::invalid_argument);
+TEST(InvariantChecker, HybridEngineCachesAreChecked) {
+  // A Hybrid node keeps one cache per engine, and the checker watches all
+  // of them: a writable copy forged in node 1's PU engine cache trips the
+  // single-writer check when node 0 is granted the block privately.
+  Machine m(checked(proto::Protocol::Hybrid));
+  const Addr a = m.alloc().allocate_on(1, 8, "pu_block");
+  m.bind_protocol(a, 8, proto::Protocol::PU);
+  const mem::BlockAddr b = mem::block_of(a);
+  mem::CacheLine& l = m.node(1).cache_ctrl().cache_for(b).set_for(b);
+  l.block = b;
+  l.state = mem::LineState::PrivateDirty;
+  try {
+    m.run({[&](cpu::Cpu& c) -> sim::Task {
+      (void)co_await c.load(a);  // node 0 is the block's only sharer...
+      co_await c.store(a, 7);    // ...so its write-through earns the grant
+      co_await c.fence();
+    }});
+    FAIL() << "expected an InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("two writable copies"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("node 1 holds PrivateDirty"), std::string::npos) << msg;
+  }
+}
+
+TEST(InvariantChecker, HybridCorruptedCuCopyFailsTheAudit) {
+  // The quiescence audit reads each copy from the engine cache holding it.
+  Machine m(checked(proto::Protocol::Hybrid));
+  const Addr a = m.alloc().allocate_on(0, 8, "cu_block");
+  m.bind_protocol(a, 8, proto::Protocol::CU);
+  std::vector<Machine::Program> ps;
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.store(a, 7);
+    co_await c.fence();
+  });
+  ps.push_back([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.spin_until(a, [](std::uint64_t v) { return v == 7; });
+    m.node(1).cache_ctrl().cache_for(mem::block_of(a)).write(a, 8, 99);
+  });
+  try {
+    m.run(ps);
+    FAIL() << "expected an InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("node 1 cache holds 0x63"), std::string::npos) << msg;
+  }
 }
 
 TEST(InvariantChecker, ObserverDoesNotChangeSimulatedCycles) {
@@ -315,7 +359,9 @@ TEST(InvariantChecker, ValueHistoryBoundariesThroughTheHooks) {
 TEST(Watchdog, LostWakeupDrainsTheQueueAndThrowsDeadlockError) {
   MachineConfig cfg;
   cfg.nprocs = 2;
-  cfg.trace = true;
+  std::ostringstream trace;
+  obs::TextSink sink(trace);  // a sink switches on the trace log
+  cfg.obs.sink = &sink;
   Machine m(cfg);
   const Addr a = m.alloc().allocate_on(0, 8, "flag");
   std::vector<Machine::Program> ps;

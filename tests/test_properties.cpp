@@ -200,12 +200,13 @@ TEST_P(RandomWorkload, ContendedAtomicSumsAreExact) {
 TEST_P(RandomWorkload, HybridRandomDomainsKeepAllInvariants) {
   // Same randomized access pattern, but on a hybrid machine with every
   // block randomly bound to WI/PU/CU: value-fabrication and atomic-sum
-  // invariants must hold across domain boundaries.
+  // invariants, and the checker's audit of every engine's cache, must hold
+  // across domain boundaries.
   const auto& [p, n, seed] = GetParam();
   MachineConfig cfg;
   cfg.protocol = Protocol::Hybrid;
-  cfg.hybrid_default = p;  // reuse the protocol axis as the default domain
   cfg.nprocs = n;
+  cfg.obs.check_invariants = true;
   Machine m(cfg);
   constexpr unsigned kWords = 24;
   const Addr base = m.alloc().allocate(kWords * mem::kWordSize, mem::kBlockSize);
@@ -216,7 +217,7 @@ TEST_P(RandomWorkload, HybridRandomDomainsKeepAllInvariants) {
       case 0: m.bind_protocol(a, mem::kBlockSize, Protocol::WI); break;
       case 1: m.bind_protocol(a, mem::kBlockSize, Protocol::PU); break;
       case 2: m.bind_protocol(a, mem::kBlockSize, Protocol::CU); break;
-      default: break;  // leave on the default domain
+      default: m.bind_protocol(a, mem::kBlockSize, p); break;  // the protocol axis
     }
   }
   std::vector<std::set<std::uint64_t>> written(kWords);
@@ -250,6 +251,7 @@ TEST_P(RandomWorkload, HybridRandomDomainsKeepAllInvariants) {
     }
   });
   EXPECT_EQ(m.peek(ctr), ctr_expect);
+  EXPECT_GT(m.invariant_checks(), 0u);
 }
 
 TEST_P(RandomWorkload, MixedConstructsStressRun) {

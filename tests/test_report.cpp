@@ -33,6 +33,21 @@ TEST(Report, ContainsEverySection) {
       << "ticket acquires must appear in the profile under CU";
 }
 
+TEST(Report, SharingTableNamesAnUnnamedBlockByItsAddress) {
+  harness::MachineConfig cfg;
+  cfg.nprocs = 2;
+  cfg.obs.sharing = true;
+  harness::Machine m(cfg);
+  const Addr a = m.alloc().allocate_on(1, 8);  // no name
+  m.run_all([&](cpu::Cpu& c) -> sim::Task {
+    co_await c.store(a, c.id());
+    (void)co_await c.load(a);
+  });
+  std::ostringstream os;
+  stats::print_sharing(os, m.sharing_report());
+  EXPECT_NE(os.str().find("\n  0x10000000 "), std::string::npos) << os.str();
+}
+
 TEST(Report, ZeroCountersStillWellFormed) {
   stats::Counters c;
   std::ostringstream os;

@@ -65,7 +65,9 @@ TEST(TraceMachine, CapturesProtocolEvents) {
     MachineConfig cfg;
     cfg.protocol = p;
     cfg.nprocs = 2;
-    cfg.trace = true;
+    std::ostringstream text;
+    obs::TextSink sink(text);  // a sink switches on the trace log
+    cfg.obs.sink = &sink;
     Machine m(cfg);
     const Addr a = m.alloc().allocate_on(1, 8);
     m.run({[&](cpu::Cpu& c) -> sim::Task {
@@ -84,7 +86,9 @@ TEST(TraceMachine, CapturesProtocolEvents) {
 TEST(TraceMachine, DeadlockReportIncludesTraceAndStuckProcs) {
   MachineConfig cfg;
   cfg.nprocs = 2;
-  cfg.trace = true;
+  std::ostringstream text;
+  obs::TextSink sink(text);
+  cfg.obs.sink = &sink;
   Machine m(cfg);
   const Addr a = m.alloc().allocate_on(0, 8);
   std::vector<Machine::Program> ps;
